@@ -131,7 +131,7 @@ SweepPoint RunSweepPoint(std::uint32_t machines, double read_fraction, double ra
   pt.update_amp = puts == 0 ? 0 : static_cast<double>(updates) / static_cast<double>(puts);
   pt.tp_ops_s = end == 0 ? 0
                          : static_cast<double>(pt.completed) / (TicksToUs(end) / 1e6);
-  pt.p99_us = static_cast<double>(merged.PercentileNs(0.99)) / 1000.0;
+  pt.p99_us = static_cast<double>(merged.PercentileNs(99)) / 1000.0;
 
   mesh.Shutdown();
   eng.RunUntilIdle();

@@ -99,6 +99,10 @@ bool IsRelease(std::memory_order mo) {
 Runtime::Runtime(const Config& cfg, Chooser choose)
     : cfg_(cfg), choose_(std::move(choose)), preemptions_left_(cfg.preemption_bound) {
   trace_.reserve(kTraceCap);
+  // SpawnThread appends while earlier workers read threads_[tid] in
+  // ThreadMain without a lock: the vector must never reallocate.
+  // SpawnThread refuses to go past kMaxModelThreads.
+  threads_.reserve(kMaxModelThreads);
 }
 
 Runtime::~Runtime() = default;

@@ -135,6 +135,7 @@ struct TestRig {
       result.backlog += system->cpu(p).backlog();
     }
     result.duration = engine.now();
+    result.events = engine.events_processed();
     for (std::uint32_t m = 0; m < machine->num_processors(); ++m) {
       result.module_utilization.push_back(
           engine.now() > 0 ? static_cast<double>(machine->memory(m).total_busy()) /

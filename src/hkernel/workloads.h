@@ -69,6 +69,7 @@ struct FaultTestResult {
   hsim::FaultPlan::Counters transport;
   std::uint64_t backlog = 0;
   hsim::Tick duration = 0;   // measured-phase simulated time
+  std::uint64_t events = 0;  // engine events processed by the whole run
   std::vector<double> module_utilization;  // per-module busy fraction
   std::vector<hsim::Tick> module_wait;     // per-module aggregate queueing
 };

@@ -24,7 +24,9 @@
 //                         the coroutine task type the algorithm bodies
 //                         return: hsim::Task<T> (lazy, costed co_awaits) in
 //                         the simulator, SyncTask<T> (below; every await is
-//                         immediately ready) natively and under hcheck
+//                         immediately ready) natively and under hcheck.  Both
+//                         take their frames from the per-thread FrameCache
+//                         (frame_cache.h), not from operator new per call.
 //
 // Operations (all carry std::memory_order parameters; the native backend
 // honours them, the simulator -- a sequentially consistent machine with an
@@ -41,14 +43,19 @@
 //               atomic in the simulator (comparison-point rationale in
 //               machine.h).  The beyond-the-paper locks (CNA, HMCS-T,
 //               Fissile) assume CAS hardware.
-//   TaskT<void> Exec(ctx, registers, branches)
+//   Exec, SpinPause and BackoffUnits return aw<void>: any awaitable of void,
+//   not necessarily a TaskT, which every call site awaits at once --
+//   Ready<void> natively, the engine's WaitAwaiter (a plain delay that
+//   allocates no frame) in hsim.
+//
+//   aw<void> Exec(ctx, registers, branches)
 //               charge register/branch instructions (simulator only; free
 //               natively) -- this is what makes fig4 instruction counts
 //               reproduce through the shared layer
-//   TaskT<void> SpinPause(ctx, spin_wait)     one pacing step of a local spin
+//   aw<void> SpinPause(ctx, spin_wait)     one pacing step of a local spin
 //               loop (fixed 16-tick delay in hsim; Platform::Backoff::Pause,
 //               i.e. exactly one hcheck schedule point, natively)
-//   TaskT<void> BackoffUnits(ctx, units)      an *explicit* backoff delay in
+//   aw<void> BackoffUnits(ctx, units, at_cap)   an *explicit* backoff delay in
 //               backend time units, used only by algorithms whose backoff is
 //               part of the algorithm itself (Figure 3c's doubling delay)
 //
@@ -86,6 +93,8 @@
 #include <exception>
 #include <utility>
 
+#include "src/hlock/algo/frame_cache.h"
+
 namespace hlock::algo {
 
 // Acquire budget (MakeDeadline) that never expires.  Checking an infinite
@@ -116,11 +125,12 @@ struct Ready<void> {
 // time the caller holds the SyncTask the result -- or a captured exception --
 // is already there.  Exceptions are rethrown from Get()/await_resume():
 // hcheck unwinds checked code with its AbortExecution exception, which must
-// pass through nested lock coroutines intact.
+// pass through nested lock coroutines intact.  The frame comes from
+// FrameCache, so a lock step calls no allocator once the cache is warm.
 template <typename T>
 class SyncTask {
  public:
-  struct promise_type {
+  struct promise_type : CachedFramePromise {
     T value{};
     std::exception_ptr error;
 
@@ -163,7 +173,7 @@ class SyncTask {
 template <>
 class SyncTask<void> {
  public:
-  struct promise_type {
+  struct promise_type : CachedFramePromise {
     std::exception_ptr error;
 
     SyncTask get_return_object() {

@@ -1,13 +1,16 @@
 #include "src/hsim/engine.h"
 
+#include <exception>
 #include <utility>
+
+#include "src/hlock/algo/frame_cache.h"
 
 namespace hsim {
 namespace {
 
 // Self-destroying wrapper frame for top-level tasks.
 struct DetachedTask {
-  struct promise_type {
+  struct promise_type : hlock::algo::CachedFramePromise {
     DetachedTask get_return_object() { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

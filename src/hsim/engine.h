@@ -33,20 +33,22 @@ class Engine {
   // Schedules `handle` to be resumed at absolute tick `at` (clamped to now).
   void ScheduleAt(Tick at, std::coroutine_handle<> handle);
 
-  // Awaitable: suspend until absolute tick `at`.
-  auto WaitUntil(Tick at) {
-    struct Awaiter {
-      Engine* engine;
-      Tick at;
-      bool await_ready() const noexcept { return at <= engine->now(); }
-      void await_suspend(std::coroutine_handle<> handle) { engine->ScheduleAt(at, handle); }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, at};
-  }
+  // Awaitable: suspend the awaiting coroutine until absolute tick `at`.  It
+  // is a plain struct, not a coroutine, so timed holds built on it (resource
+  // occupancy, instruction and backoff delays) allocate no frame.  It reads
+  // `now` when awaited: await it at once, as every caller does.
+  struct WaitAwaiter {
+    Engine* engine;
+    Tick at;
+    bool await_ready() const noexcept { return at <= engine->now(); }
+    void await_suspend(std::coroutine_handle<> handle) { engine->ScheduleAt(at, handle); }
+    void await_resume() const noexcept {}
+  };
+
+  WaitAwaiter WaitUntil(Tick at) { return WaitAwaiter{this, at}; }
 
   // Awaitable: suspend for `delta` ticks.
-  auto Delay(Tick delta) { return WaitUntil(now_ + delta); }
+  WaitAwaiter Delay(Tick delta) { return WaitUntil(now_ + delta); }
 
   // Launches a top-level task.  The task starts at the current tick and its
   // frame is destroyed when it completes.  The task must terminate.

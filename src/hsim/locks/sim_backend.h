@@ -73,12 +73,15 @@ class SimBackend {
   }
 
   // --- costing / pacing -----------------------------------------------------
-  Task<void> Exec(Processor& p, std::uint32_t reg, std::uint32_t branches) {
+  // Plain delays: each returns the engine's WaitAwaiter, not a Task.
+  Engine::WaitAwaiter Exec(Processor& p, std::uint32_t reg, std::uint32_t branches) {
     return p.Exec(reg, branches);
   }
   SpinWait MakeSpinWait() { return SpinWait{}; }
-  Task<void> SpinPause(Processor& p, SpinWait&) { return p.BackoffDelay(kLocalSpinPause); }
-  Task<void> BackoffUnits(Processor& p, std::uint64_t units, bool /*at_cap*/) {
+  Engine::WaitAwaiter SpinPause(Processor& p, SpinWait&) {
+    return p.BackoffDelay(kLocalSpinPause);
+  }
+  Engine::WaitAwaiter BackoffUnits(Processor& p, std::uint64_t units, bool /*at_cap*/) {
     return p.BackoffDelay(units);
   }
 

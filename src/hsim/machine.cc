@@ -25,10 +25,6 @@ Processor::Processor(Machine* machine, ProcId id)
 
 StationId Processor::station() const { return machine_->station_of(module()); }
 
-Engine& Processor::engine() { return machine_->engine(); }
-
-Tick Processor::now() { return engine().now(); }
-
 Task<std::uint64_t> Processor::Load(SimWord& word) {
   ++stats_.mem_loads;
   if (machine_->trace_enabled(hmetrics::kTraceMemory)) {
@@ -79,27 +75,6 @@ Task<bool> Processor::CompareSwap(SimWord& word, std::uint64_t expected, std::ui
 Task<std::uint64_t> Processor::FetchAdd(SimWord& word, std::uint64_t delta) {
   ++stats_.atomic_ops;
   return Access(word, AccessKind::kFetchAdd, delta, 0, nullptr);
-}
-
-Task<void> Processor::Exec(std::uint32_t reg, std::uint32_t branches) {
-  stats_.reg_instrs += reg;
-  stats_.branches += branches;
-  if (reg + branches > 0) {
-    co_await engine().Delay(reg + branches);
-  }
-}
-
-Task<void> Processor::Compute(Tick cycles) {
-  if (cycles > 0) {
-    co_await engine().Delay(cycles);
-  }
-}
-
-Task<void> Processor::BackoffDelay(Tick cycles) {
-  stats_.idle_cycles += cycles;
-  if (cycles > 0) {
-    co_await engine().Delay(cycles);
-  }
 }
 
 Task<std::uint64_t> Processor::TracedAccess(SimWord& word, AccessKind kind,

@@ -99,7 +99,7 @@ class Processor {
 
   Machine& machine() { return *machine_; }
   Engine& engine();
-  Tick now();
+  Tick now() { return engine().now(); }
   OpStats& stats() { return stats_; }
   Rng& rng() { return rng_; }
 
@@ -122,14 +122,24 @@ class Processor {
   Task<std::uint64_t> FetchAdd(SimWord& word, std::uint64_t delta);
 
   // --- instruction execution -------------------------------------------------
+  // Each charges its stats at the call and returns the engine's WaitAwaiter
+  // (no coroutine frame), so await the result at once.
+  //
   // Charges `reg` register-to-register instructions and `branches` branch
   // instructions, one cycle each (single-issue MC88100).
-  Task<void> Exec(std::uint32_t reg, std::uint32_t branches);
+  Engine::WaitAwaiter Exec(std::uint32_t reg, std::uint32_t branches) {
+    stats_.reg_instrs += reg;
+    stats_.branches += branches;
+    return engine().Delay(reg + branches);
+  }
   // Pure time: processor is busy computing for `cycles` (no shared-memory
   // traffic).  Used for fixed-cost kernel work.
-  Task<void> Compute(Tick cycles);
+  Engine::WaitAwaiter Compute(Tick cycles) { return engine().Delay(cycles); }
   // Pure time with no work: backoff delay (counted as idle).
-  Task<void> BackoffDelay(Tick cycles);
+  Engine::WaitAwaiter BackoffDelay(Tick cycles) {
+    stats_.idle_cycles += cycles;
+    return engine().Delay(cycles);
+  }
 
  private:
   enum class AccessKind { kLoad, kStore, kSwap, kCas, kFetchAdd };
@@ -221,6 +231,8 @@ class Machine {
   std::vector<std::unique_ptr<Processor>> processors_;
   std::deque<SimWord> words_;
 };
+
+inline Engine& Processor::engine() { return machine_->engine(); }
 
 }  // namespace hsim
 

@@ -6,15 +6,19 @@
 // reservation order equals service order, which makes each resource an exact
 // FIFO queue without an explicit waiter list.  Queueing delay under load is
 // what produces the paper's "second order" contention effects.
+//
+// Use and UseOverlapped reserve at the call and return the engine's
+// WaitAwaiter rather than a coroutine: a cross-ring access (seven holds)
+// builds no frame per hold.
 
 #ifndef HSIM_RESOURCE_H_
 #define HSIM_RESOURCE_H_
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/task.h"
 #include "src/hsim/types.h"
 
 namespace hsim {
@@ -41,18 +45,16 @@ class Resource {
   }
 
   // Occupies the resource for `hold` ticks; resumes when service completes.
-  Task<void> Use(Tick hold) {
-    Tick start = Reserve(hold);
-    co_await engine_->WaitUntil(start + hold);
-  }
+  // The reservation is made at the call, so the result must be awaited at
+  // once: `co_await bus.Use(4)`.
+  Engine::WaitAwaiter Use(Tick hold) { return engine_->WaitUntil(Reserve(hold) + hold); }
 
   // Occupies the resource for `hold` ticks but resumes the caller after only
   // `visible` ticks of service.  Used for atomic swap: the MC88100 proceeds as
   // soon as the fetch half completes while the memory module finishes the
   // store half in the background.
-  Task<void> UseOverlapped(Tick visible, Tick hold) {
-    Tick start = Reserve(hold);
-    co_await engine_->WaitUntil(start + visible);
+  Engine::WaitAwaiter UseOverlapped(Tick visible, Tick hold) {
+    return engine_->WaitUntil(Reserve(hold) + visible);
   }
 
   // --- statistics -----------------------------------------------------------

@@ -12,6 +12,11 @@
 // them in a self-destroying detached frame.  All workloads in this repository
 // are written to terminate, so the engine never needs to tear down suspended
 // coroutines.
+//
+// Frames come from the per-thread FrameCache (src/hlock/algo/frame_cache.h),
+// not straight from operator new.  Timed holds and delays -- Resource::Use,
+// Processor::Exec/Compute/BackoffDelay -- are not Tasks at all but the
+// engine's WaitAwaiter, so the only frames a memory access builds are its own.
 
 #ifndef HSIM_TASK_H_
 #define HSIM_TASK_H_
@@ -20,6 +25,8 @@
 #include <exception>
 #include <optional>
 #include <utility>
+
+#include "src/hlock/algo/frame_cache.h"
 
 namespace hsim {
 
@@ -44,7 +51,7 @@ struct TaskFinalAwaiter {
   void await_resume() const noexcept {}
 };
 
-struct TaskPromiseBase {
+struct TaskPromiseBase : hlock::algo::CachedFramePromise {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 

@@ -147,6 +147,25 @@ TEST(WorkloadTest, MixedWorkloadIsDeterministic) {
   EXPECT_EQ(a.latency.samples(), b.latency.samples());
 }
 
+// Pins the simulated schedule of a small mixed run, transit jitter included:
+// the final tick and the number of engine events.  Changing how a hold or a
+// delay is awaited must leave both alone; an extra suspension or a reordered
+// reservation moves them.
+TEST(WorkloadTest, MixedWorkloadSchedulePin) {
+  FaultTestParams params;
+  params.cluster_size = 4;
+  params.active_procs = 16;
+  params.iterations = 2;
+  params.warmup = 1;
+  params.warmup_time = hsim::UsToTicks(500);
+  params.faults.delay_request = 0.02;
+  params.faults.delay_reply = 0.02;
+  params.faults.seed = 1;
+  const FaultTestResult r = RunMixedFaultTest(params);
+  EXPECT_EQ(r.duration, 213447u);
+  EXPECT_EQ(r.events, 130142u);
+}
+
 TEST(WorkloadTest, BarrierReleasesAllParties) {
   hsim::Engine engine;
   hsim::Machine machine(&engine, hsim::MachineConfig{});

@@ -316,6 +316,8 @@ struct LoadResult {
   std::uint64_t partitioned = 0;
   std::vector<AckedWrite> acked;
   bool all_done = false;
+  Tick end = 0;              // engine tick once shut down and idle
+  std::uint64_t events = 0;  // engine events processed by the whole run
 };
 
 // Audits the mesh after a drained run: every acked write applied at exactly
@@ -406,7 +408,8 @@ LoadResult RunLoadScenario(const hsim::FaultConfig* faults, bool partition_windo
     AuditMesh(mesh, r.acked);
   }
   mesh.Shutdown();
-  eng.RunUntilIdle();
+  r.end = eng.RunUntilIdle();
+  r.events = eng.events_processed();
   return r;
 }
 
@@ -452,6 +455,22 @@ TEST(MeshLoadTest, DeterministicReplay) {
   EXPECT_EQ(a.digest, b.digest);  // bit-identical replay
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.retransmits, b.retransmits);
+}
+
+// Pins the simulated schedule of a lossy load run: the final tick and the
+// number of engine events.  Changing how a hold or a delay is awaited must
+// leave both alone; an extra suspension or a reordered reservation moves
+// them.
+TEST(MeshLoadTest, SchedulePin) {
+  hsim::FaultConfig faults;
+  faults.drop_request = 0.02;
+  faults.drop_reply = 0.02;
+  faults.dup_reply = 0.02;
+  faults.seed = 7;
+  const LoadResult r = RunLoadScenario(&faults, false, /*audit=*/false);
+  ASSERT_TRUE(r.all_done);
+  EXPECT_EQ(r.end, 30433u);
+  EXPECT_EQ(r.events, 20116u);
 }
 
 TEST(MeshLoadTest, PartitionedMachineIsNotEvicted) {
