@@ -45,7 +45,21 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 
 cmake -B build -S .
 cmake --build build -j"$JOBS"
-ctest --test-dir build --output-on-failure -j"$JOBS" 2>&1 | tee test_output.txt
+
+# A pipeline's exit status is tee's, and its left side runs in a subshell, so
+# each failure inside one is appended to $FAILURES and checked afterwards.
+FAILURES=build/run_all_failures.txt
+rm -f "$FAILURES"
+exit_if_failed() {
+  if [ -s "$FAILURES" ]; then
+    echo "run_all.sh: failed: $(tr '\n' ' ' < "$FAILURES")" >&2
+    exit 1
+  fi
+}
+
+{ ctest --test-dir build --output-on-failure -j"$JOBS" 2>&1 || echo ctest >> "$FAILURES"; } \
+    | tee test_output.txt
+exit_if_failed
 
 # Every bench binary supports --json=PATH: the human table still goes to
 # stdout while one hurricane-bench-report/1 document lands in reports/.
@@ -58,14 +72,16 @@ mkdir -p "$REPORTS"
     name="$(basename "$b")"
     echo "==== $name"
     # shellcheck disable=SC2086 # $SMOKE is intentionally word-split
-    "$b" $SMOKE --json="$REPORTS/$name.json"
+    "$b" $SMOKE --json="$REPORTS/$name.json" || echo "$name" >> "$FAILURES"
   done
   if [ "$FAULTS" = 1 ]; then
     echo "==== fig7_fault_tests --faults"
     # shellcheck disable=SC2086
-    ./build/bench/fig7_fault_tests $SMOKE --faults --json="$REPORTS/fig7_fault_campaign.json"
+    ./build/bench/fig7_fault_tests $SMOKE --faults --json="$REPORTS/fig7_fault_campaign.json" \
+        || echo "fig7_fault_tests --faults" >> "$FAILURES"
   fi
 } 2>&1 | tee bench_output.txt
+exit_if_failed
 
 # Merge and schema-check the per-bench reports into BENCH_RESULTS.json.
 python3 - "$REPORTS" <<'EOF'

@@ -1,5 +1,6 @@
 #include "src/hsim/engine.h"
 
+#include <bit>
 #include <exception>
 #include <utility>
 
@@ -28,13 +29,6 @@ DetachedTask RunDetached(Engine* engine, Task<void> task, std::uint64_t* live_co
 
 }  // namespace
 
-void Engine::ScheduleAt(Tick at, std::coroutine_handle<> handle) {
-  if (at < now_) {
-    at = now_;
-  }
-  queue_.push(Event{at, next_seq_++, handle});
-}
-
 void Engine::Spawn(Task<void> task) {
   ++live_tasks_;
   // The detached frame starts eagerly: it runs the task inline until the task
@@ -43,29 +37,64 @@ void Engine::Spawn(Task<void> task) {
   RunDetached(this, std::move(task), &live_tasks_);
 }
 
-Tick Engine::RunUntilIdle() {
-  while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
-    now_ = event.at;
-    ++events_processed_;
-    event.handle.resume();
+Tick Engine::NextWheelTick() const {
+  const std::size_t slot = now_ & (kWheelTicks - 1);
+  std::size_t word = slot / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (slot % 64));
+  while (bits == 0) {
+    word = (word + 1) % kWords;
+    bits = occupied_[word];
   }
+  const std::size_t found = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+  return now_ + ((found - slot) & (kWheelTicks - 1));
+}
+
+void Engine::AdvanceTo(Tick at) {
+  now_ = at;
+  while (!far_.empty() && far_.top().at - now_ < kWheelTicks) {
+    Append(far_.top().waiter);
+    far_.pop();
+  }
+}
+
+bool Engine::RunThrough(Tick until) {
+  while (wheel_size_ != 0 || !far_.empty()) {
+    // Every far wait is at least kWheelTicks ahead, so after every wheel wait.
+    const Tick next = wheel_size_ != 0 ? NextWheelTick() : far_.top().at;
+    if (next > until) {
+      return false;
+    }
+    if (next != now_) {
+      AdvanceTo(next);
+    }
+    const std::size_t slot = now_ & (kWheelTicks - 1);
+    Bucket& bucket = buckets_[slot];
+    WaitAwaiter* waiter = bucket.head;
+    bucket.head = waiter->next;
+    if (bucket.head == nullptr) {
+      bucket.tail = nullptr;
+      occupied_[slot / 64] &= ~(std::uint64_t{1} << (slot % 64));
+    }
+    --wheel_size_;
+    ++events_processed_;
+    // The awaiter dies in its frame once the coroutine resumes.
+    waiter->handle.resume();
+  }
+  return true;
+}
+
+Tick Engine::RunUntilIdle() {
+  RunThrough(~Tick{0});
   return now_;
 }
 
 bool Engine::RunUntil(Tick until) {
-  while (!queue_.empty() && queue_.top().at <= until) {
-    Event event = queue_.top();
-    queue_.pop();
-    now_ = event.at;
-    ++events_processed_;
-    event.handle.resume();
-  }
-  if (queue_.empty()) {
+  if (RunThrough(until)) {
     return true;
   }
-  now_ = until;
+  if (until > now_) {
+    AdvanceTo(until);
+  }
   return false;
 }
 

@@ -2,9 +2,9 @@
 //
 // A resource is modelled with reservation semantics: a transaction arriving at
 // tick T reserves the first free interval at or after T and waits until its
-// service completes.  Because the engine processes events in time order,
-// reservation order equals service order, which makes each resource an exact
-// FIFO queue without an explicit waiter list.  Queueing delay under load is
+// service completes.  Because the engine resumes waits in (tick, scheduling
+// order) order, reservation order equals service order, which makes each
+// resource an exact FIFO queue without an explicit waiter list.  Queueing delay under load is
 // what produces the paper's "second order" contention effects.
 //
 // Use and UseOverlapped reserve at the call and return the engine's

@@ -17,6 +17,8 @@
 // not straight from operator new.  Timed holds and delays -- Resource::Use,
 // Processor::Exec/Compute/BackoffDelay -- are not Tasks at all but the
 // engine's WaitAwaiter, so the only frames a memory access builds are its own.
+// A suspended WaitAwaiter sits in its awaiting frame and is itself the
+// engine's queue node, so waiting allocates nothing either.
 
 #ifndef HSIM_TASK_H_
 #define HSIM_TASK_H_
