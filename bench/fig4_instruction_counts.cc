@@ -21,9 +21,7 @@
 #include "src/hmetrics/bench_main.h"
 #include "src/hsim/engine.h"
 #include "src/hsim/locks/sim_backend.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/opstats.h"
 
@@ -50,8 +48,8 @@ hsim::OpStats CountPair(LockKind kind) {
 }
 
 hsim::Task<void> OneSharedPair(hsim::Processor* p, hsim::SimDrwLock* lock) {
-  co_await lock->AcquireShared(*p);
-  co_await lock->ReleaseShared(*p);
+  co_await lock->core().AcquireShared(*p);
+  co_await lock->core().ReleaseShared(*p);
 }
 
 // Uncontended reader or writer pair on the distributed RW lock (4-station

@@ -57,7 +57,6 @@ void BM_Contended(benchmark::State& state) {
 BENCHMARK(BM_Uncontended<hlock::TasSpinLock>)->Name("uncontended/tas");
 BENCHMARK(BM_Uncontended<hlock::TtasSpinLock>)->Name("uncontended/ttas");
 BENCHMARK(BM_Uncontended<hlock::BackoffSpinLock>)->Name("uncontended/backoff");
-BENCHMARK(BM_Uncontended<hlock::TicketLock>)->Name("uncontended/ticket");
 BENCHMARK(BM_UncontendedClassicMcs)->Name("uncontended/mcs_classic");
 BENCHMARK(BM_Uncontended<hlock::McsH1Lock>)->Name("uncontended/mcs_h1");
 BENCHMARK(BM_Uncontended<hlock::McsH2Lock>)->Name("uncontended/mcs_h2");
@@ -66,7 +65,6 @@ BENCHMARK(BM_Uncontended<hlock::McsTryV2Lock>)->Name("uncontended/mcs_try_v2");
 
 BENCHMARK(BM_Contended<hlock::TtasSpinLock>)->Name("contended/ttas")->Threads(2);
 BENCHMARK(BM_Contended<hlock::McsH2Lock>)->Name("contended/mcs_h2")->Threads(2);
-BENCHMARK(BM_Contended<hlock::TicketLock>)->Name("contended/ticket")->Threads(2);
 
 int main(int argc, char** argv) {
   return hbench::RunGoogleBench(argc, argv, "native_lock_latency");

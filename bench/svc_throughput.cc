@@ -62,7 +62,6 @@
 #include "src/hmetrics/bench_main.h"
 #include "src/hprof/lock_site.h"
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 

@@ -6,7 +6,8 @@
 #   --full    run benches at paper length (default is --smoke: small iteration
 #             counts that exercise every code path in seconds)
 #   --tsan    additionally build with -DHSIM_SANITIZE=thread in build-tsan/
-#             and run the native lock tests under ThreadSanitizer
+#             and run every TSan-clean test binary under ThreadSanitizer
+#             (the list the CI tsan job runs)
 #   --hcheck  additionally rerun the hcheck model-checker suite with
 #             HCHECK_EXHAUSTIVE=1 (deeper preemption bound, larger schedule
 #             budgets — minutes, not seconds).  The bounded hcheck suite
@@ -144,7 +145,12 @@ if [ "$HCHECK" = 1 ]; then
 fi
 
 if [ "$TSAN" = 1 ]; then
+  TSAN_TESTS="hlock_tests hsvc_tests hload_tests halloc_tests hprof_tests
+    hflight_tests hsim_tests hkernel_tests hmesh_tests hmetrics_tests"
   cmake -B build-tsan -S . -DHSIM_SANITIZE=thread
-  cmake --build build-tsan -j"$JOBS" --target hlock_tests
-  ./build-tsan/tests/hlock_tests
+  # shellcheck disable=SC2086  # word-split the list into targets
+  cmake --build build-tsan -j"$JOBS" --target $TSAN_TESTS
+  for t in $TSAN_TESTS; do
+    ./build-tsan/tests/$t
+  done
 fi

@@ -4,9 +4,8 @@
 #include <cstdio>
 #include <string>
 
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/reserve_bit.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 
 namespace hkernel {
 

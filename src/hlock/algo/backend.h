@@ -74,16 +74,20 @@
 //   WithPool(f)                runs f under the backend's node-pool guard
 //   AcquireSpan/EndSpan/ReleaseInstant   lock trace hooks (simulator only)
 //
-// Not everything moved onto the layer.  TAS/TTAS/Ticket (spin_locks.h) stay
+// Each memory has one lock adapter: hlock::NativeLock<Core, Platform>
+// (native_lock.h) runs any core eagerly, natively and under hcheck;
+// hsim::SimLockOf<Core> (src/hsim/locks/sim_lock.h) runs it in the
+// simulator.  McsTryV2Lock is TimeoutMcsCore with a zero-budget try_lock.
+//
+// Not everything moved onto the layer.  TAS/TTAS (bootstrap_locks.h) stay
 // hand-written: TtasSpinLock is the Platform::PoolLock -- the bootstrap lock
 // *beneath* this layer -- and cannot be expressed through it without a cycle.
-// BasicMcsLock keeps its own body (caller-owned nodes + CAS release: the
-// modern-hardware comparison lock, a deliberately different algorithm).
+// BasicMcsLock keeps its own body: caller-owned nodes + CAS release, the
+// modern-hardware reference the native mcs_h2/mcs_classic ratio divides by,
+// and its Enqueue/WaitForGrant split is what the hcheck FIFO tests observe.
 // McsTryV1 and SpinThenBlockLock stay Platform-templated: their semantics
 // (interrupt re-entry, OS blocking) have no simulator mapping, and they
-// already run under two of the three memories.  Everything the simulator
-// duplicates -- MCS/H1/H2, backoff spin, reserve bits -- plus the new NUMA
-// family lives here.
+// already run under two of the three memories.
 
 #ifndef HLOCK_ALGO_BACKEND_H_
 #define HLOCK_ALGO_BACKEND_H_

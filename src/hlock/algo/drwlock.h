@@ -193,8 +193,10 @@ class DrwLockCore {
   }
 
   // --- writer side ----------------------------------------------------------
+  // Named like every other core's exclusive side, so the lock adapters drive
+  // the writer path through the same Acquire/TryAcquire/Release calls.
 
-  TaskT<void> AcquireExclusive(Ctx& ctx) {
+  TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
     const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
     bool contended = false;
@@ -220,7 +222,7 @@ class DrwLockCore {
 
   // No-spin writer entry: false if another writer holds the mutex *or* any
   // reader is in -- the flag is backed out rather than waited on.
-  TaskT<bool> TryAcquireExclusive(Ctx& ctx) {
+  TaskT<bool> TryAcquire(Ctx& ctx) {
     const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
                                               std::memory_order_acquire,
                                               std::memory_order_relaxed);
@@ -245,7 +247,7 @@ class DrwLockCore {
     co_return true;
   }
 
-  TaskT<void> ReleaseExclusive(Ctx& ctx) {
+  TaskT<void> Release(Ctx& ctx) {
     if (writer_site_ != nullptr) {
       writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
     }
@@ -342,6 +344,10 @@ class DrwLockCore {
   }
   hprof::LockSiteStats* reader_site() const { return reader_site_; }
   hprof::LockSiteStats* writer_site() const { return writer_site_; }
+  // The single-site interface every core has: the writer side, which is the
+  // side Acquire/Release drive.
+  void set_site(hprof::LockSiteStats* site) { writer_site_ = site; }
+  hprof::LockSiteStats* site() const { return writer_site_; }
 
  private:
   // One counter per cluster, each on its own cache line: the whole point is

@@ -49,7 +49,7 @@ class FissileCore {
       : b_(b),
         fast_attempts_(fast_attempts == 0 ? 1 : fast_attempts),
         broken_barge_(broken_barge),
-        inner_(b, McsVariant::kOriginal, home),
+        inner_(b, home, McsVariant::kOriginal),
         name_("fissile") {
     b_->InitWord(outer_, home, 0);
   }

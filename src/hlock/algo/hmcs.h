@@ -121,9 +121,9 @@ class HmcsTCore {
 
   // Untimed acquire: an infinite deadline never expires, so this is the
   // plain blocking HMCS algorithm.
-  TaskT<bool> AcquireBlocking(Ctx& ctx) {
+  TaskT<void> Acquire(Ctx& ctx) {
     typename B::Deadline deadline = b_->MakeDeadline(ctx, kInfiniteBudget);
-    co_return co_await Acquire(ctx, deadline);
+    co_await Acquire(ctx, deadline);
   }
 
   TaskT<void> Release(Ctx& ctx) {
@@ -165,6 +165,14 @@ class HmcsTCore {
   Level& global_level() { return *global_; }
   Level& local_level(std::uint32_t cluster) { return *locals_[cluster]; }
   std::uint32_t num_levels() const { return static_cast<std::uint32_t>(locals_.size()) + 1; }
+  // Abandoned queue nodes reclaimed by releasers, over every level.
+  std::uint64_t abandoned_nodes_reclaimed() const {
+    std::uint64_t n = global_->abandoned_nodes_reclaimed();
+    for (const std::unique_ptr<Level>& local : locals_) {
+      n += local->abandoned_nodes_reclaimed();
+    }
+    return n;
+  }
 
   // Attaches a profiling site (null detaches); recording is host-side only.
   // The wait/contention sample covers the whole two-level acquire; queue

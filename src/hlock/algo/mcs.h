@@ -75,7 +75,7 @@ class McsCore {
 
   // `home` is the module holding the lock (tail) word; one queue node per
   // caller is placed on that caller's local module.
-  McsCore(B* b, McsVariant variant, std::uint32_t home)
+  McsCore(B* b, std::uint32_t home, McsVariant variant)
       : b_(b), variant_(variant), name_(McsVariantName(variant)) {
     const std::uint32_t n = b_->NumCtxs();
     nodes_ = std::make_unique<Node[]>(n);

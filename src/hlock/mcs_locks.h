@@ -30,8 +30,7 @@
 #include <cstdint>
 
 #include "src/hlock/algo/mcs.h"
-#include "src/hlock/algo/native_backend.h"
-#include "src/hlock/padded.h"
+#include "src/hlock/native_lock.h"
 #include "src/hlock/platform.h"
 #include "src/hprof/lock_site.h"
 
@@ -125,49 +124,18 @@ using McsLock = BasicMcsLock<>;
 namespace internal {
 
 // The H1/H2 variants: per-thread pre-initialized nodes and the swap-only
-// release.  The algorithm body lives in src/hlock/algo/mcs.h, written once
-// over the memory-backend concept; this adapter binds it to the native
-// backend (raw atomics via StdPlatform, model-checked memory via
-// hcheck::Platform) and runs the coroutine core eagerly to completion inside
-// lock()/unlock().  The backend-visible operations -- and under hcheck the
-// schedule points -- are the same, one for one, as the previous hand-written
-// body.
+// release.  The algorithm body is algo::McsCore, written once over the
+// memory-backend concept and run by NativeLock (raw atomics via StdPlatform,
+// model-checked memory via hcheck::Platform).  The variant is a constructor
+// argument of the core; this binds it at compile time, so McsH1Lock and
+// McsH2Lock default-construct (std::array<McsH2Lock, N> relies on that).
 template <class Platform, bool kCheckSuccessor>
-class HurricaneMcsLock {
+class HurricaneMcsLock : public NativeLock<algo::McsCore, Platform> {
  public:
   HurricaneMcsLock()
-      : core_(&backend_,
-              kCheckSuccessor ? algo::McsVariant::kH1 : algo::McsVariant::kH2,
-              /*home=*/0) {}
-  HurricaneMcsLock(const HurricaneMcsLock&) = delete;
-  HurricaneMcsLock& operator=(const HurricaneMcsLock&) = delete;
-
-  void lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Acquire(ctx).Get();
-  }
-
-  void unlock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Release(ctx).Get();
-  }
-
-  bool try_lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryAcquire(ctx).Get();
-  }
-
-  // Number of contended releases that had to repair the queue.
-  std::uint64_t repairs() const { return core_.repairs(); }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<Platform>;
-  Backend backend_;
-  algo::McsCore<Backend> core_;
+      : NativeLock<algo::McsCore, Platform>(
+            /*procs_per_cluster=*/1,
+            kCheckSuccessor ? algo::McsVariant::kH1 : algo::McsVariant::kH2) {}
 };
 
 }  // namespace internal

@@ -13,23 +13,28 @@
 //   McsTryV2Lock -- a true TryLock: a failed attempt abandons its queue node
 //   in place and returns immediately; releases garbage-collect abandoned
 //   nodes while handing the lock over (cf. Craig's timeout queue locks).
+//   The protocol is algo::TimeoutMcsCore's -- the abandonable-node queue
+//   HMCS-T uses for its levels -- so V2 is a try_lock with a zero budget.
 //   The paper's conclusion is reproduced by the tests and benches: under
 //   saturation a queue lock is handed directly from holder to waiter, so
 //   TryLock callers essentially never see it free -- retry-based access to a
 //   fair lock is only probabilistically fair and starves.
 //
 // Both locks are templated on the Platform policy (src/hlock/platform.h);
-// the unsuffixed aliases bind StdPlatform.  The StdPlatform instantiations
-// are explicit (mcs_try_lock.cc) so other translation units link against one
-// copy, exactly as with the previous out-of-line definitions.
+// the unsuffixed aliases bind StdPlatform.  V1 stays hand-written: its
+// interrupt re-entry has no simulator mapping (see algo/backend.h).  The
+// StdPlatform instantiations are explicit (mcs_try_lock.cc) so other
+// translation units link against one copy.
 
 #ifndef HLOCK_MCS_TRY_LOCK_H_
 #define HLOCK_MCS_TRY_LOCK_H_
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
+#include "src/hlock/algo/backend.h"
+#include "src/hlock/algo/native_backend.h"
+#include "src/hlock/algo/timeout_mcs.h"
 #include "src/hlock/padded.h"
 #include "src/hlock/platform.h"
 #include "src/hprof/lock_site.h"
@@ -156,181 +161,64 @@ class BasicMcsTryV1Lock {
 };
 
 // --- Variant 2 ----------------------------------------------------------------
+//
+// The abandoned-node protocol is algo::TimeoutMcsCore's (also the level lock
+// of HMCS-T), run over the native backend.  lock() is an acquire with an
+// infinite deadline.  try_lock() is an acquire with a zero budget: the
+// deadline expires at the first check, so a caller with a predecessor
+// abandons its node by CAS at once -- or, if the grant won that race, holds
+// the lock after all.  The core returns a node handle per acquire; a
+// per-thread slot keeps it until unlock().
 template <class Platform = StdPlatform>
 class BasicMcsTryV2Lock {
  public:
   BasicMcsTryV2Lock() = default;
-  ~BasicMcsTryV2Lock() {
-    Node* node = all_nodes_;
-    while (node != nullptr) {
-      Node* next = node->all_next;
-      delete node;
-      node = next;
-    }
-  }
   BasicMcsTryV2Lock(const BasicMcsTryV2Lock&) = delete;
   BasicMcsTryV2Lock& operator=(const BasicMcsTryV2Lock&) = delete;
 
-  void lock() {
-    bool immediate = false;
-    Node* node = Enqueue(&immediate);
-    if (!immediate) {
-      typename Platform::Backoff backoff;
-      while (node->state.load(std::memory_order_acquire) != kGranted) {
-        backoff.Pause();
-      }
-    }
-    *holders_[Platform::ThreadId()] = node;
-  }
+  void lock() { Acquire(algo::kInfiniteBudget); }
 
   // True TryLock: a single attempt.  On failure the queue node is left in the
   // queue, marked abandoned, to be reclaimed by a later release.
-  bool try_lock() {
-    bool immediate = false;
-    Node* node = Enqueue(&immediate);
-    if (immediate) {
-      *holders_[Platform::ThreadId()] = node;
-      return true;
+  bool try_lock() { return Acquire(0); }
+
+  void unlock() {
+    Ctx ctx{Platform::ThreadId()};
+    std::uint64_t& slot = holders_[ctx.id].value;
+    const std::uint64_t node = slot;
+    Platform::Check(node != 0, "McsTryV2Lock::unlock without a matching lock on this thread");
+    slot = 0;
+    core_.Release(ctx, node).Get();
+  }
+
+  std::uint64_t abandoned_nodes_reclaimed() const { return core_.abandoned_nodes_reclaimed(); }
+
+  // Pool conservation (quiescent observers, for tests): with the lock free
+  // and no thread inside lock code, total_nodes() == pooled_nodes().
+  std::uint64_t total_nodes() { return core_.total_nodes(); }
+  std::uint64_t pooled_nodes() { return core_.pooled_nodes(); }
+
+ private:
+  using Backend = algo::NativeBackend<Platform>;
+  using Ctx = typename Backend::Ctx;
+
+  bool Acquire(std::uint64_t budget) {
+    Ctx ctx{Platform::ThreadId()};
+    typename Backend::Deadline deadline = backend_.MakeDeadline(ctx, budget);
+    const typename algo::TimeoutMcsCore<Backend>::Grant grant =
+        core_.Acquire(ctx, deadline).Get();
+    if (grant.node == 0) {
+      return false;  // abandoned: a later release reclaims the node
     }
-    // Try to abandon.  If the predecessor granted us the lock in the window,
-    // the CAS fails and we own the lock after all.
-    std::uint32_t expected = kWaiting;
-    if (node->state.compare_exchange_strong(expected, kAbandoned, std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-      // The node stays in the queue; a release will reclaim it.
-      return false;
-    }
-    *holders_[Platform::ThreadId()] = node;
+    holders_[ctx.id].value = grant.node;
     return true;
   }
 
-  void unlock() {
-    Node*& slot = *holders_[Platform::ThreadId()];
-    Node* node = slot;
-    Platform::Check(node != nullptr,
-                    "McsTryV2Lock::unlock without a matching lock on this thread");
-    slot = nullptr;
-    while (true) {
-      Node* succ = node->next.load(std::memory_order_acquire);
-      if (succ == nullptr) {
-        Node* expected = node;
-        if (tail_.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-          FreeNode(node);
-          return;
-        }
-        typename Platform::Backoff backoff;
-        while ((succ = node->next.load(std::memory_order_acquire)) == nullptr) {
-          backoff.Pause();
-        }
-      }
-      // Either grant the successor the lock, or -- if it abandoned its attempt
-      // -- reclaim its node and keep walking the queue.
-      std::uint32_t expected = kWaiting;
-      if (succ->state.compare_exchange_strong(expected, kGranted, std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-        FreeNode(node);
-        return;
-      }
-      FreeNode(node);
-      reclaimed_.fetch_add(1, std::memory_order_relaxed);
-      node = succ;  // abandoned: we own it now; continue with its successor
-    }
-  }
-
-  std::uint64_t abandoned_nodes_reclaimed() const {
-    return reclaimed_.load(std::memory_order_relaxed);
-  }
-
-  // --- pool conservation (quiescent observers, for tests) ----------------------
-  // With the lock free and no thread inside lock code, every node ever
-  // allocated must sit in the free list exactly once: total_nodes() ==
-  // pooled_nodes().  A leak (abandoned node never reclaimed) or a double free
-  // (caught eagerly by FreeNode) breaks the equality.
-  std::uint64_t total_nodes() const {
-    std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
-    return total_nodes_;
-  }
-  std::uint64_t pooled_nodes() const {
-    std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
-    std::uint64_t n = 0;
-    for (Node* node = free_list_; node != nullptr; node = node->pool_next) {
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  enum State : std::uint32_t { kWaiting = 0, kGranted = 1, kAbandoned = 2 };
-
-  struct Node {
-    typename Platform::template Atomic<Node*> next{nullptr};
-    typename Platform::template Atomic<std::uint32_t> state{kWaiting};
-    Node* pool_next = nullptr;  // free-list link; guarded by pool_lock_
-    Node* all_next = nullptr;   // allocation chain, for the destructor
-    bool in_pool = false;       // guarded by pool_lock_; catches double frees
-  };
-
-  Node* AllocNode() {
-    {
-      std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
-      if (free_list_ != nullptr) {
-        Node* node = free_list_;
-        free_list_ = node->pool_next;
-        node->next.store(nullptr, std::memory_order_relaxed);
-        node->state.store(kWaiting, std::memory_order_relaxed);
-        node->pool_next = nullptr;
-        node->in_pool = false;
-        return node;
-      }
-    }
-    Node* node = new Node;
-    std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
-    node->all_next = all_nodes_;
-    all_nodes_ = node;
-    ++total_nodes_;
-    return node;
-  }
-
-  void FreeNode(Node* node) {
-    // Nodes are type-stable: they are only ever reused as queue nodes of this
-    // lock, never returned to the allocator while the lock lives.
-    std::lock_guard<typename Platform::PoolLock> guard(pool_lock_);
-    Platform::Check(!node->in_pool,
-                    "McsTryV2Lock: queue node freed twice (reclaimed by two releases)");
-    node->in_pool = true;
-    node->pool_next = free_list_;
-    free_list_ = node;
-  }
-
-  // Enqueues a fresh node; returns it and whether the lock was acquired
-  // immediately (no predecessor).
-  Node* Enqueue(bool* immediate) {
-    Node* node = AllocNode();
-    Node* pred = tail_.exchange(node, std::memory_order_acq_rel);
-    if (pred == nullptr) {
-      node->state.store(kGranted, std::memory_order_relaxed);
-      *immediate = true;
-    } else {
-      pred->next.store(node, std::memory_order_release);
-      *immediate = false;
-    }
-    return node;
-  }
-
-  typename Platform::template Atomic<Node*> tail_{nullptr};
+  Backend backend_;
+  algo::TimeoutMcsCore<Backend> core_{&backend_, /*home=*/0};
   // Per-thread slot remembering the node this thread acquired with; each slot
   // is touched only by its owning thread, so consecutive holders do not race.
-  Padded<Node*> holders_[Platform::kMaxThreads] = {};
-  typename Platform::template Atomic<std::uint64_t> reclaimed_{0};
-
-  // Node pool.  Nodes are freed by *other* threads (the releaser reclaims
-  // abandoned nodes), so a per-thread cache does not work; the free list is
-  // protected by a tiny lock, which is off the lock's fast path.
-  mutable typename Platform::PoolLock pool_lock_;
-  Node* free_list_ = nullptr;
-  Node* all_nodes_ = nullptr;  // chain of every allocation, for the destructor
-  std::uint64_t total_nodes_ = 0;  // guarded by pool_lock_
+  Padded<std::uint64_t> holders_[Platform::kMaxThreads] = {};
 };
 
 using McsTryV1Lock = BasicMcsTryV1Lock<>;

@@ -2,222 +2,50 @@
 // reader-writer lock.
 //
 // The algorithm bodies live in src/hlock/algo/{cna,hmcs,fissile,drwlock}.h,
-// written
-// once over the memory-backend concept; these adapters bind them to the
-// native backend and run the coroutine cores eagerly to completion inside
-// lock()/unlock(), exactly like the MCS adapters in mcs_locks.h.
+// written once over the memory-backend concept; each lock here is that core
+// run by NativeLock (native_lock.h), exactly like the MCS locks in
+// mcs_locks.h.  Constructor arguments after `procs_per_cluster` go to the
+// core: CnaLock(ppc, max_streak), HmcsTLock(ppc, threshold),
+// FissileLock(ppc, fast_attempts), DrwLock(ppc, preference).
 //
 // Native hardware gives no topology oracle, so the cluster map is a
 // modelling knob: `procs_per_cluster` groups dense thread ids into clusters
 // (1 = every thread its own cluster, which degrades CNA to plain MCS and
-// HMCS-T to a two-level MCS).  The unsuffixed aliases bind StdPlatform; the
-// hcheck model checker instantiates the same code with hcheck::Platform
-// (tests/hcheck/numa_locks_hcheck_test.cc).
+// HMCS-T to a two-level MCS).  The hcheck model checker runs the same cores
+// under hcheck::Platform (tests/hcheck/numa_locks_hcheck_test.cc).
+//
+//   CnaLock      compact NUMA-aware lock (Dice & Kogan): MCS acquire,
+//                cluster-preferring release with a starvation-bounded
+//                secondary queue of remote waiters.
+//   HmcsTLock    hierarchical MCS with timeout (Chabbi, Fagan &
+//                Mellor-Crummey): one MCS level per cluster plus a global
+//                level; intra-cluster handoffs pass both.  try_lock_for(n)
+//                gives up after n spin iterations.
+//   FissileLock  TAS fast path over an MCS slow path; unfair but with the
+//                cheapest uncontended acquire/release pair of the family.
+//   DrwLock      distributed reader-writer lock: per-cluster padded reader
+//                counters (a reader entry/exit touches only its own
+//                cluster's line), writer flag + cluster sweep.
+//                std::shared_mutex-shaped API plus try_upgrade()/downgrade();
+//                `preference` picks who overtakes whom when readers and a
+//                writer collide (see algo::DrwPreference).  set_site profiles
+//                the writer side; core().set_sites attaches both.
 
 #ifndef HLOCK_NUMA_LOCKS_H_
 #define HLOCK_NUMA_LOCKS_H_
 
-#include <cstdint>
-
-#include "src/hlock/algo/backend.h"
 #include "src/hlock/algo/cna.h"
 #include "src/hlock/algo/drwlock.h"
 #include "src/hlock/algo/fissile.h"
 #include "src/hlock/algo/hmcs.h"
-#include "src/hlock/algo/native_backend.h"
-#include "src/hlock/platform.h"
-#include "src/hprof/lock_site.h"
+#include "src/hlock/native_lock.h"
 
 namespace hlock {
 
-// Compact NUMA-aware lock (Dice & Kogan): MCS acquire, cluster-preferring
-// release with a starvation-bounded secondary queue of remote waiters.
-template <class Platform = StdPlatform>
-class BasicCnaLock {
- public:
-  explicit BasicCnaLock(std::uint32_t procs_per_cluster = 1,
-                        std::uint64_t max_streak = algo::CnaCore<
-                            algo::NativeBackend<Platform>>::kDefaultMaxStreak)
-      : backend_(procs_per_cluster), core_(&backend_, /*home=*/0, max_streak) {}
-  BasicCnaLock(const BasicCnaLock&) = delete;
-  BasicCnaLock& operator=(const BasicCnaLock&) = delete;
-
-  void lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Acquire(ctx).Get();
-  }
-  void unlock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Release(ctx).Get();
-  }
-  bool try_lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryAcquire(ctx).Get();
-  }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<Platform>;
-  Backend backend_;
-  algo::CnaCore<Backend> core_;
-};
-
-// Hierarchical MCS with timeout (Chabbi, Fagan & Mellor-Crummey): one MCS
-// level per cluster plus a global level; intra-cluster handoffs pass both.
-template <class Platform = StdPlatform>
-class BasicHmcsTLock {
- public:
-  explicit BasicHmcsTLock(std::uint32_t procs_per_cluster = 1,
-                          std::uint64_t threshold = algo::HmcsTCore<
-                              algo::NativeBackend<Platform>>::kDefaultThreshold)
-      : backend_(procs_per_cluster), core_(&backend_, /*home=*/0, threshold) {}
-  BasicHmcsTLock(const BasicHmcsTLock&) = delete;
-  BasicHmcsTLock& operator=(const BasicHmcsTLock&) = delete;
-
-  void lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.AcquireBlocking(ctx).Get();
-  }
-  void unlock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Release(ctx).Get();
-  }
-
-  // Timed acquire: gives up after `budget` spin iterations (the native
-  // backend's deadline unit).  Returns false without holding the lock or
-  // leaving a queue node behind.
-  bool try_lock_for(std::uint64_t budget) {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    typename Backend::Deadline deadline = backend_.MakeDeadline(ctx, budget);
-    return core_.Acquire(ctx, deadline).Get();
-  }
-
-  std::uint64_t abandoned_nodes_reclaimed() {
-    std::uint64_t n = core_.global_level().abandoned_nodes_reclaimed();
-    for (std::uint32_t c = 0; c < backend_.NumClusters(); ++c) {
-      n += core_.local_level(c).abandoned_nodes_reclaimed();
-    }
-    return n;
-  }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<Platform>;
-  Backend backend_;
-  algo::HmcsTCore<Backend> core_;
-};
-
-// Fissile lock: TAS fast path over an MCS slow path; unfair but with the
-// cheapest uncontended acquire/release pair of the family.
-template <class Platform = StdPlatform>
-class BasicFissileLock {
- public:
-  explicit BasicFissileLock(std::uint32_t fast_attempts = algo::FissileCore<
-                                algo::NativeBackend<Platform>>::kDefaultFastAttempts)
-      : core_(&backend_, /*home=*/0, fast_attempts) {}
-  BasicFissileLock(const BasicFissileLock&) = delete;
-  BasicFissileLock& operator=(const BasicFissileLock&) = delete;
-
-  void lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Acquire(ctx).Get();
-  }
-  void unlock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Release(ctx).Get();
-  }
-  bool try_lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryAcquire(ctx).Get();
-  }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<Platform>;
-  Backend backend_;
-  algo::FissileCore<Backend> core_;
-};
-
-// Distributed reader-writer lock: per-cluster padded reader counters (a
-// reader entry/exit touches only its own cluster's line), writer flag +
-// cluster sweep.  std::shared_mutex-shaped API plus try_upgrade()/downgrade()
-// per the dgos rwspinlock shape.  `preference` picks who overtakes whom when
-// readers and a writer collide (see algo::DrwPreference).
-template <class Platform = StdPlatform>
-class BasicDrwLock {
- public:
-  explicit BasicDrwLock(std::uint32_t procs_per_cluster = 1,
-                        algo::DrwPreference preference = algo::DrwPreference::kWriters)
-      : backend_(procs_per_cluster), core_(&backend_, /*home=*/0, preference) {}
-  BasicDrwLock(const BasicDrwLock&) = delete;
-  BasicDrwLock& operator=(const BasicDrwLock&) = delete;
-
-  void lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.AcquireExclusive(ctx).Get();
-  }
-  void unlock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.ReleaseExclusive(ctx).Get();
-  }
-  bool try_lock() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryAcquireExclusive(ctx).Get();
-  }
-
-  void lock_shared() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.AcquireShared(ctx).Get();
-  }
-  void unlock_shared() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.ReleaseShared(ctx).Get();
-  }
-  bool try_lock_shared() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryAcquireShared(ctx).Get();
-  }
-
-  // Upgrades a shared hold to exclusive.  On false the shared hold is
-  // *retained* -- the caller must unlock_shared() and take lock() from
-  // scratch (two winners would deadlock on each other's read count, so this
-  // can only be a try).  On true the shared hold has been consumed.
-  bool try_upgrade() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    return core_.TryUpgrade(ctx).Get();
-  }
-
-  // Downgrades an exclusive hold to shared with no writer-sneak window.
-  void downgrade() {
-    typename Backend::Ctx ctx{Platform::ThreadId()};
-    core_.Downgrade(ctx).Get();
-  }
-
-  // Attaches reader/writer profiling sites (null detaches); wait/hold
-  // samples are host nanoseconds.  Not thread-safe against concurrent users.
-  void set_sites(hprof::LockSiteStats* reader_site, hprof::LockSiteStats* writer_site) {
-    core_.set_sites(reader_site, writer_site);
-  }
-
- private:
-  using Backend = algo::NativeBackend<Platform>;
-  Backend backend_;
-  algo::DrwLockCore<Backend> core_;
-};
-
-using CnaLock = BasicCnaLock<>;
-using HmcsTLock = BasicHmcsTLock<>;
-using FissileLock = BasicFissileLock<>;
-using DrwLock = BasicDrwLock<>;
+using CnaLock = NativeLock<algo::CnaCore>;
+using HmcsTLock = NativeLock<algo::HmcsTCore>;
+using FissileLock = NativeLock<algo::FissileCore>;
+using DrwLock = NativeLock<algo::DrwLockCore>;
 
 }  // namespace hlock
 

@@ -1,5 +1,5 @@
-// Native spin locks: test-and-set, test-and-test-and-set, exponential
-// backoff, and ticket locks.
+// Native spin locks: test-and-set, test-and-test-and-set and exponential
+// backoff.
 //
 // These are the baselines the paper's Distributed Locks are measured against
 // (Figure 3c).  All locks satisfy the BasicLockable requirements, so they
@@ -11,17 +11,11 @@
 #ifndef HLOCK_SPIN_LOCKS_H_
 #define HLOCK_SPIN_LOCKS_H_
 
-#include <atomic>
 #include <cstdint>
 
-#include "src/hlock/algo/native_backend.h"
 #include "src/hlock/algo/spin.h"
-#include "src/hlock/backoff.h"
 #include "src/hlock/bootstrap_locks.h"
-#include "src/hlock/padded.h"
-#include "src/hlock/platform.h"
-#include "src/hlock/thread_id.h"
-#include "src/hprof/lock_site.h"
+#include "src/hlock/native_lock.h"
 
 namespace hlock {
 
@@ -30,64 +24,15 @@ namespace hlock {
 // keeps uncontended latency low but floods the interconnect under load; a
 // large cap is gentle on the memory system but invites starvation.
 //
-// The algorithm body lives in src/hlock/algo/spin.h, shared with the
-// simulator; this adapter binds it to the native backend (the release is an
-// exchange there too -- HECTOR fidelity the simulator requires and the native
-// lock tolerates).
-class BackoffSpinLock {
+// The algorithm body is algo::SpinCore, shared with the simulator (the
+// release is an exchange there too -- HECTOR fidelity the simulator requires
+// and the native lock tolerates).  The core's cap is in backend units, which
+// are ticks in the simulator; this binds the native default of 1024 pause
+// spins.
+class BackoffSpinLock : public NativeLock<algo::SpinCore> {
  public:
   explicit BackoffSpinLock(std::uint32_t max_backoff_spins = 1024)
-      : core_(&backend_, /*home=*/0, max_backoff_spins) {}
-
-  void lock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    core_.Acquire(ctx).Get();
-  }
-
-  bool try_lock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    return core_.TryAcquire(ctx).Get();
-  }
-
-  void unlock() {
-    Backend::Ctx ctx{CurrentThreadId()};
-    core_.Release(ctx).Get();
-  }
-
-  // Attaches a profiling site (null detaches); wait/hold samples are host
-  // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { core_.set_site(site); }
-
- private:
-  using Backend = algo::NativeBackend<StdPlatform>;
-  Backend backend_;
-  algo::SpinCore<Backend> core_;
-};
-
-// Ticket lock: FIFO-fair like a Distributed Lock, but all waiters spin on the
-// same now-serving word, so it keeps the global-spinning problem.
-class TicketLock {
- public:
-  void lock() {
-    const std::uint32_t ticket = next_->fetch_add(1, std::memory_order_relaxed);
-    Backoff backoff;
-    while (serving_->load(std::memory_order_acquire) != ticket) {
-      backoff.Pause();
-    }
-  }
-
-  bool try_lock() {
-    const std::uint32_t serving = serving_->load(std::memory_order_relaxed);
-    std::uint32_t expected = serving;
-    return next_->compare_exchange_strong(expected, serving + 1, std::memory_order_acquire,
-                                          std::memory_order_relaxed);
-  }
-
-  void unlock() { serving_->fetch_add(1, std::memory_order_release); }
-
- private:
-  Padded<std::atomic<std::uint32_t>> next_{0};
-  Padded<std::atomic<std::uint32_t>> serving_{0};
+      : NativeLock(/*procs_per_cluster=*/1, max_backoff_spins) {}
 };
 
 }  // namespace hlock

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 
@@ -74,10 +72,10 @@ LockStressResult RunLockStress(const LockStressParams& params) {
   result.processors = params.processors;
   result.window = params.duration;
   if (auto* spin = dynamic_cast<SimSpinLock*>(lock.get())) {
-    result.spin_retries = spin->retries();
+    result.spin_retries = spin->core().retries();
   }
   if (auto* mcs = dynamic_cast<SimMcsLock*>(lock.get())) {
-    result.mcs_repairs = mcs->repairs();
+    result.mcs_repairs = mcs->core().repairs();
   }
   const Tick end = engine.now();
   result.lock_module_utilization =
@@ -86,6 +84,8 @@ LockStressResult RunLockStress(const LockStressParams& params) {
               : 0.0;
   result.bus_wait = machine.total_bus_wait();
   result.mem_wait = machine.total_memory_wait();
+  result.end_tick = end;
+  result.events = engine.events_processed();
 
   if (params.metrics != nullptr) {
     // Charge the run's instruction mix and lock counters into the registry,
@@ -134,7 +134,7 @@ Task<void> RwDriver(Processor* p, RwShared* shared, std::uint32_t index) {
     if (write || shared->drw == nullptr) {
       co_await shared->lock->Acquire(*p);
     } else {
-      co_await shared->drw->AcquireShared(*p);
+      co_await shared->drw->core().AcquireShared(*p);
     }
     const Tick t1 = p->now();
     if (t1 >= shared->warm_end && t1 <= shared->deadline) {
@@ -152,7 +152,7 @@ Task<void> RwDriver(Processor* p, RwShared* shared, std::uint32_t index) {
     if (write || shared->drw == nullptr) {
       co_await shared->lock->Release(*p);
     } else {
-      co_await shared->drw->ReleaseShared(*p);
+      co_await shared->drw->core().ReleaseShared(*p);
     }
     if (shared->think > 0) {
       co_await p->Compute(shared->think);
@@ -172,7 +172,7 @@ RwStressResult RunRwLockStress(const RwStressParams& params) {
   }
   auto* drw = dynamic_cast<SimDrwLock*>(lock.get());
   if (drw != nullptr && params.reader_site != nullptr) {
-    drw->set_reader_site(params.reader_site);
+    drw->core().set_sites(params.reader_site, drw->core().writer_site());
   }
 
   RwStressResult result;

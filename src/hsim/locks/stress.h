@@ -63,6 +63,8 @@ struct LockStressResult {
   double lock_module_utilization = 0.0;  // busy fraction of the lock's module
   Tick bus_wait = 0;                // aggregate queueing at station buses
   Tick mem_wait = 0;                // aggregate queueing at memory modules
+  Tick end_tick = 0;                // engine time when the run drained
+  std::uint64_t events = 0;         // engine events processed by the run
 };
 
 LockStressResult RunLockStress(const LockStressParams& params);

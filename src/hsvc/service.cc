@@ -217,21 +217,23 @@ void Service::Complete(Pump& pump, Request* req, Status status, std::uint64_t va
   if (req->flight != nullptr) {
     req->flight->done = req->done_ns;
   }
-  if (status == Status::kExpired) {
-    pump.expired.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  const bool expired = status == Status::kExpired;
+  if (!expired) {
     const std::uint64_t service_ns = req->done_ns - req->start_ns;
     pump.service_us.Record(service_ns / 1000);
     // EMA with 1/8 gain: smooth enough for a retry-after hint, cheap enough
     // for the per-request path.
     const std::uint64_t ema = pump.ema_service_ns.load(std::memory_order_relaxed);
     pump.ema_service_ns.store(ema - ema / 8 + service_ns / 8, std::memory_order_relaxed);
-    pump.served.fetch_add(1, std::memory_order_relaxed);
   }
   hlock::LockFreeFreeList* completion = req->completion;
   // Push is a release: the client's Pop acquires, so every output field
   // written above is visible to the owner when the node comes back.
   completion->Push(&req->free_link);
+  // Counted last, with release: Drain() acquires these counts, so once it
+  // sees a request done this pump no longer touches it (the caller may free
+  // it) -- Push's writes to the node and the list head included.
+  (expired ? pump.expired : pump.served).fetch_add(1, std::memory_order_release);
 }
 
 void Service::PaceOne(Pump& pump) {

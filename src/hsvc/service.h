@@ -159,8 +159,9 @@ class Service {
   // queue is full; the node is then still owned by the caller.
   AdmitResult Submit(Request* req, hcluster::ClusterId origin);
 
-  // Blocks until every admitted request has completed.  Call from outside
-  // the service's threads, after producers have stopped.
+  // Blocks until every admitted request has completed and no pump touches
+  // it any more (the caller may then free it).  Call from outside the
+  // service's threads, after producers have stopped.
   void Drain();
 
   // Administrative/back-door access to the underlying table (preloads,
@@ -180,6 +181,9 @@ class Service {
   void ExportMetrics(hmetrics::Registry* out) const;
 
   // --- aggregate counters (any time) ---------------------------------------
+  // served/expired count a request after its completion is pushed, so a
+  // client that has just popped a completion may not see it counted yet;
+  // Drain() first to compare them with the completions seen.
   std::uint64_t admitted() const { return Sum(&Pump::admitted); }
   std::uint64_t rejected() const { return Sum(&Pump::rejected); }
   std::uint64_t expired() const { return Sum(&Pump::expired); }
@@ -200,7 +204,8 @@ class Service {
     // Producer-side counters (any client thread).
     std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> rejected{0};
-    // Pump-side counters (single writer, concurrent relaxed readers).
+    // Pump-side counters (single writer, concurrent readers; served and
+    // expired are bumped with release, see Complete).
     std::atomic<std::uint64_t> served{0};
     std::atomic<std::uint64_t> expired{0};
     std::atomic<std::uint64_t> batches{0};
@@ -225,7 +230,8 @@ class Service {
   std::uint64_t Sum(std::atomic<std::uint64_t> Pump::* counter) const {
     std::uint64_t total = 0;
     for (const auto& pump : pumps_) {
-      total += (pump.get()->*counter).load(std::memory_order_relaxed);
+      // Acquire pairs with Complete's release count (see Drain).
+      total += (pump.get()->*counter).load(std::memory_order_acquire);
     }
     return total;
   }

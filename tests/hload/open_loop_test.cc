@@ -19,8 +19,10 @@ void ExpectConservation(const RunnerResult& r) {
   EXPECT_EQ(r.latency.count(), r.planned);
 }
 
-// Service-side counters must agree with the runner's view.
-void ExpectServiceAgrees(const hsvc::Service& service, const RunnerResult& result) {
+// Service-side counters must agree with the runner's view once every pump is
+// done with its requests.
+void ExpectServiceAgrees(hsvc::Service& service, const RunnerResult& result) {
+  service.Drain();
   EXPECT_EQ(service.served() + service.expired(),
             result.ok + result.notfound + result.expired);
   EXPECT_EQ(service.expired(), result.expired);

@@ -66,11 +66,6 @@ TEST(NativeLocks, BackoffMutualExclusion) {
   MutualExclusionStress(lock, kThreads, kIters);
 }
 
-TEST(NativeLocks, TicketMutualExclusion) {
-  TicketLock lock;
-  MutualExclusionStress(lock, kThreads, kIters);
-}
-
 TEST(NativeLocks, McsH1MutualExclusion) {
   McsH1Lock lock;
   MutualExclusionStress(lock, kThreads, kIters);
@@ -161,20 +156,7 @@ TEST(NativeLocks, LockGuardCompatibility) {
   {
     std::lock_guard<McsH2Lock> guard(lock);
   }
-  TicketLock ticket;
-  {
-    std::lock_guard<TicketLock> guard(ticket);
-  }
   SUCCEED();
-}
-
-TEST(NativeLocks, TicketTryLockFailsWhileHeld) {
-  TicketLock lock;
-  lock.lock();
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 // Profiling hooks on the native locks: counts reconcile with the work done,

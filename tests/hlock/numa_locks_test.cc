@@ -242,7 +242,7 @@ TEST(NumaLocks, DrwProfilingSitesSplitReadersAndWriters) {
   hprof::LockSiteStats reader_site("test/drw.reader", /*procs_per_cluster=*/2);
   hprof::LockSiteStats writer_site("test/drw.writer", /*procs_per_cluster=*/2);
   DrwLock lock(/*procs_per_cluster=*/2);
-  lock.set_sites(&reader_site, &writer_site);
+  lock.core().set_sites(&reader_site, &writer_site);
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&] {
@@ -257,7 +257,7 @@ TEST(NumaLocks, DrwProfilingSitesSplitReadersAndWriters) {
   for (auto& w : workers) {
     w.join();
   }
-  lock.set_sites(nullptr, nullptr);
+  lock.core().set_sites(nullptr, nullptr);
   EXPECT_EQ(reader_site.acquisitions(), static_cast<std::uint64_t>(kThreads) * 200);
   EXPECT_EQ(writer_site.acquisitions(), static_cast<std::uint64_t>(kThreads) * 200);
 }

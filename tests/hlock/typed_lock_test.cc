@@ -21,8 +21,8 @@ template <typename T>
 class TypedLockTest : public ::testing::Test {};
 
 using LockTypes =
-    ::testing::Types<TasSpinLock, TtasSpinLock, BackoffSpinLock, TicketLock, McsH1Lock,
-                     McsH2Lock, McsTryV1Lock, McsTryV2Lock, SpinThenBlockLock>;
+    ::testing::Types<TasSpinLock, TtasSpinLock, BackoffSpinLock, McsH1Lock, McsH2Lock,
+                     McsTryV1Lock, McsTryV2Lock, SpinThenBlockLock>;
 TYPED_TEST_SUITE(TypedLockTest, LockTypes);
 
 TYPED_TEST(TypedLockTest, MutualExclusion) {
@@ -77,8 +77,8 @@ TYPED_TEST(TypedLockTest, SequentialReacquisition) {
 template <typename T>
 class TypedTryLockTest : public ::testing::Test {};
 
-using TryLockTypes = ::testing::Types<TasSpinLock, TtasSpinLock, BackoffSpinLock, TicketLock,
-                                      McsH1Lock, McsH2Lock, McsTryV2Lock, SpinThenBlockLock>;
+using TryLockTypes = ::testing::Types<TasSpinLock, TtasSpinLock, BackoffSpinLock, McsH1Lock,
+                                      McsH2Lock, McsTryV2Lock, SpinThenBlockLock>;
 TYPED_TEST_SUITE(TypedTryLockTest, TryLockTypes);
 
 TYPED_TEST(TypedTryLockTest, TryLockFreeSucceedsHeldFails) {

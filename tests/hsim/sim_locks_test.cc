@@ -4,16 +4,15 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/hsim/engine.h"
-#include "src/hsim/locks/mcs_lock.h"
-#include "src/hsim/locks/numa_lock.h"
 #include "src/hsim/locks/reserve_bit.h"
 #include "src/hsim/locks/sim_lock.h"
-#include "src/hsim/locks/spin_lock.h"
+#include "src/hsim/locks/stress.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 #include "src/hsim/types.h"
@@ -71,10 +70,63 @@ TEST_P(SimLockProperty, MutualExclusionWithZeroHoldTime) {
   EXPECT_EQ(cs.entries, 8u * 60u);
 }
 
+// Pins each kind's simulated schedule under one fixed stress run: the final
+// tick, the engine event count, the acquisitions and the lock's name.  How a
+// lock is bound to the simulator must leave all four alone; an extra
+// suspension or a reordered memory access moves them.
+struct SchedulePin {
+  Tick end_tick;
+  std::uint64_t events;
+  std::uint64_t acquisitions;
+  const char* name;
+};
+
+SchedulePin GoldenPin(LockKind kind) {
+  switch (kind) {
+    case LockKind::kSpin35us:
+      return {35425, 11985, 168, "spin(backoff<=35.000000us)"};
+    case LockKind::kSpin2ms:
+      return {40871, 9255, 208, "spin(backoff<=2000.000000us)"};
+    case LockKind::kMcs:
+      return {34690, 29393, 248, "mcs"};
+    case LockKind::kMcsH1:
+      return {34631, 29336, 248, "h1-mcs"};
+    case LockKind::kMcsH2:
+      return {34992, 30921, 167, "h2-mcs"};
+    case LockKind::kCna:
+      return {35272, 31541, 161, "cna"};
+    case LockKind::kHmcsT:
+      return {35093, 29484, 172, "hmcs-t"};
+    case LockKind::kFissile:
+      return {34954, 29964, 151, "fissile"};
+    case LockKind::kDrw:
+      return {36375, 12952, 96, "drwlock"};
+  }
+  return {};
+}
+
+TEST_P(SimLockProperty, StressSchedulePin) {
+  LockStressParams params;
+  params.kind = GetParam();
+  params.processors = 8;
+  params.hold = 100;
+  params.warmup = UsToTicks(100);
+  params.duration = UsToTicks(2000);
+  const LockStressResult r = RunLockStress(params);
+  Engine engine;
+  Machine machine(&engine, MachineConfig{});
+  const std::string name = MakeSimLock(&machine, GetParam(), 0)->name();
+  const SchedulePin pin = GoldenPin(GetParam());
+  EXPECT_EQ(r.end_tick, pin.end_tick);
+  EXPECT_EQ(r.events, pin.events);
+  EXPECT_EQ(r.acquisitions, pin.acquisitions);
+  EXPECT_EQ(name, pin.name);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLockKinds, SimLockProperty,
                          ::testing::Values(LockKind::kSpin35us, LockKind::kSpin2ms, LockKind::kMcs,
                                            LockKind::kMcsH1, LockKind::kMcsH2, LockKind::kCna,
-                                           LockKind::kHmcsT, LockKind::kFissile),
+                                           LockKind::kHmcsT, LockKind::kFissile, LockKind::kDrw),
                          [](const ::testing::TestParamInfo<LockKind>& info) {
                            std::string n = LockKindName(info.param);
                            for (char& c : n) {
@@ -207,7 +259,7 @@ TEST(McsRepair, H2AlwaysRepairsWhenSuccessorExists) {
   }
   engine.RunUntilIdle();
   // Three releases happen with a successor queued; each must repair.
-  EXPECT_EQ(lock.repairs(), 3u);
+  EXPECT_EQ(lock.core().repairs(), 3u);
   ASSERT_EQ(order.size(), 4u);
 }
 
@@ -221,7 +273,7 @@ TEST(McsRepair, H1RepairsOnlyOnRaceWindow) {
     engine.Spawn(AcquireOnce(&engine, &machine.processor(p), &lock, p * 2000, &order, 100));
   }
   engine.RunUntilIdle();
-  EXPECT_EQ(lock.repairs(), 0u);
+  EXPECT_EQ(lock.core().repairs(), 0u);
 }
 
 TEST(McsRepair, UncontendedReacquireWorksAfterRepair) {

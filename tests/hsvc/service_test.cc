@@ -65,6 +65,7 @@ TEST(Service, PutGetRoundtripAcrossClusters) {
   EXPECT_EQ(client.req.value_out, 78u);
 
   EXPECT_EQ(client.Run(svc, OpKind::kGet, 999, 0, 0), Status::kNotFound);
+  svc.Drain();
   EXPECT_EQ(svc.served(), 6u);
   EXPECT_EQ(svc.expired(), 0u);
 }
@@ -97,6 +98,7 @@ TEST(Service, PastDeadlineExpiresWithoutExecuting) {
     std::this_thread::yield();
   }
   EXPECT_EQ(client.req.status, Status::kExpired);
+  svc.Drain();
   EXPECT_EQ(svc.expired(), 1u);
   // The write never touched the table.
   EXPECT_EQ(client.Run(svc, OpKind::kGet, 5, 0, 0), Status::kNotFound);
@@ -131,6 +133,7 @@ TEST(Service, BacklogBehindSlowServiceExpiresByDeadline) {
       ++completed;
     }
   }
+  svc.Drain();
   EXPECT_EQ(svc.served() + svc.expired(), static_cast<std::uint64_t>(kRequests));
   EXPECT_GE(svc.expired(), 1u);
   for (const auto& req : reqs) {
