@@ -149,8 +149,9 @@ if [ "$TSAN" = 1 ]; then
     hflight_tests hsim_tests hkernel_tests hmesh_tests hmetrics_tests"
   cmake -B build-tsan -S . -DHSIM_SANITIZE=thread
   # shellcheck disable=SC2086  # word-split the list into targets
-  cmake --build build-tsan -j"$JOBS" --target $TSAN_TESTS
+  cmake --build build-tsan -j"$JOBS" --target $TSAN_TESTS hcluster_tests
   for t in $TSAN_TESTS; do
     ./build-tsan/tests/$t
   done
+  ./build-tsan/tests/hcluster_tests --gtest_filter='Topology.*:ClusterRuntime.*:ReplicatedCounter.*'
 fi

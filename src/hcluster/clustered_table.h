@@ -225,6 +225,8 @@ class ClusteredTable {
   std::uint64_t local_hits(ClusterId c) const { return replicas_[c]->hits.load(); }
 
  private:
+  friend struct ClusteredTableTestPeer;
+
   struct Entry {
     V value{};
     bool present = false;

@@ -64,9 +64,16 @@ class ClusterRuntime {
 
   // Runs `fn` on worker `dst` and waits for its result.  Callable from any
   // thread; when called from a worker, the worker services its own inbox
-  // while waiting.  `fn` runs in handler context: it must not Call.
+  // while waiting.  `fn` runs in handler context: it must not Call.  A call
+  // to the calling worker itself runs `fn` inline on the spot, ahead of any
+  // handler already pending in the inbox: going through the inbox would only
+  // have this same thread pick it up again, at the price of two closures, a
+  // work item, a wake and a gate round trip.
   template <typename Fn>
   auto Call(WorkerId dst, Fn fn) -> decltype(fn()) {
+    if (dst == current_worker()) {
+      return fn();
+    }
     using R = decltype(fn());
     struct Slot {
       std::atomic<bool> done{false};

@@ -8,11 +8,12 @@
 //   LockFreeCounter -- a single-word statistic safely updated from handler
 //   context (no lock to deadlock on).
 //
-//   LockFreeFreeList -- a Treiber stack over type-stable nodes.  It is safe
-//   against ABA *only because* the nodes come from a type-stable pool that is
-//   never returned to the allocator while the list is in use -- the same
-//   footnote-2 discipline the reserve bits rely on; the pop-side version
-//   counter closes the remaining window.
+//   LockFreeFreeList -- a Treiber stack over type-stable nodes with a
+//   one-word tagged head.  It is safe against ABA *only because* the nodes
+//   come from a type-stable pool that is never returned to the allocator
+//   while the list is in use -- the same footnote-2 discipline the reserve
+//   bits rely on -- and the head's 16-bit tag narrows the remaining window
+//   (see the class comment).
 //
 // Templated on the Platform policy (src/hlock/platform.h); the unsuffixed
 // aliases bind StdPlatform.
@@ -22,7 +23,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 
 #include "src/hlock/platform.h"
 
@@ -73,98 +73,87 @@ class BasicLockFreeFreeList {
  public:
   using Node = BasicLockFreeNode<Platform>;
 
- private:
-  struct Head {
-    Node* node = nullptr;
-    std::uint64_t version = 0;
-  };
+  // The head is one 64-bit word: the node pointer in the low 48 bits (every
+  // user-space address on x86-64 and on aarch64 with 48-bit virtual
+  // addresses) and a 16-bit ABA tag above it, bumped by every successful
+  // Push and Pop.  A single-word CAS is lock-free on every 64-bit target, so
+  // the completion path never falls back to libatomic's hidden mutex.
+  //
+  // ABA window: a Pop that reads head (node A, tag t) and then stalls can
+  // still succeed wrongly if, before its CAS, other threads pop A, run
+  // exactly a multiple of 65536 head updates and push A back -- the tag has
+  // wrapped to t and the stale `next` is installed.  Under concurrent
+  // poppers that is unlikely, not impossible.  Every in-repo consumer (hsvc
+  // clients, hload, perfbench) pops its list from a single thread while any
+  // number of pumps push, and with one popper ABA cannot happen at all:
+  // nobody else can take A off the list between the popper's read and its
+  // CAS, and a Push only ever links the current head beneath the new node.
+  static constexpr int kTagShift = 48;
+  static constexpr std::uint64_t kNodeMask = (std::uint64_t{1} << kTagShift) - 1;
 
- public:
   void Push(Node* node) {
-    Head expected = head_.load(std::memory_order_relaxed);
-    Head desired;
+    const auto bits = reinterpret_cast<std::uintptr_t>(node);
+    Platform::Check((bits & ~kNodeMask) == 0,
+                    "LockFreeFreeList: node address does not fit the 48-bit head field");
+    std::uint64_t expected = head_.load(std::memory_order_relaxed);
+    std::uint64_t desired;
     do {
-      node->next.store(expected.node, std::memory_order_relaxed);
-      desired = Head{node, expected.version + 1};
+      node->next.store(NodeOf(expected), std::memory_order_relaxed);
+      desired = Pack(bits, expected);
     } while (!head_.compare_exchange_weak(expected, desired, std::memory_order_release,
                                           std::memory_order_relaxed));
   }
 
   Node* Pop() {
-    Head expected = head_.load(std::memory_order_acquire);
-    while (expected.node != nullptr) {
+    std::uint64_t expected = head_.load(std::memory_order_acquire);
+    while (Node* node = NodeOf(expected)) {
       // Reading node->next is safe: nodes are type-stable (never freed to the
       // allocator while the list lives), so the worst case is a stale value
-      // that the versioned CAS rejects.
-      Head desired{expected.node->next.load(std::memory_order_relaxed), expected.version + 1};
-      if (head_.compare_exchange_weak(expected, desired, std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-        return expected.node;
+      // that the tagged CAS rejects.
+      Node* next = node->next.load(std::memory_order_relaxed);
+      if (head_.compare_exchange_weak(expected,
+                                      Pack(reinterpret_cast<std::uintptr_t>(next), expected),
+                                      std::memory_order_acq_rel, std::memory_order_acquire)) {
+        return node;
       }
     }
     return nullptr;
   }
 
-  bool empty() const { return head_.load(std::memory_order_acquire).node == nullptr; }
+  bool empty() const { return NodeOf(head_.load(std::memory_order_acquire)) == nullptr; }
+
+  // The head's ABA tag: advances by one (mod 2^16) on every Push and Pop.
+  std::uint16_t tag() const {
+    return static_cast<std::uint16_t>(head_.load(std::memory_order_relaxed) >> kTagShift);
+  }
 
   // --- lock-freedom introspection -------------------------------------------
-  // Head is 16 bytes (pointer + version), which is only genuinely lock-free
-  // on hardware with a double-width CAS (x86-64 cmpxchg16b -- and only when
-  // the build enables it, e.g. -mcx16; aarch64 needs LSE).  WITHOUT it,
-  // libatomic silently backs every Head operation with a HIDDEN GLOBAL
-  // MUTEX: still linearizable, but the "lock-free" completion path can now
-  // block, invert priorities, and deadlock if ever used from a context that
-  // cannot take locks (the Section 5.3 interrupt-handler motivation).  That
-  // fallback is invisible at the call site, so it is surfaced three ways:
-  // this constant, the svc.freelist_lock_free hmetrics gauge exported by
-  // hsvc::Service, and the one-time stderr warning below.
-  //
+  // True wherever a 64-bit atomic is (every 64-bit target this builds for),
+  // and exported by hsvc::Service as the svc.freelist_lock_free gauge.
   // Model-checker platforms substitute their own Atomic without the
   // std::atomic introspection surface; there the implementation is the
   // checker's simulated memory (no hidden mutex), reported as lock-free.
   static constexpr bool kHeadIsAlwaysLockFree = [] {
     if constexpr (requires {
-                    Platform::template Atomic<Head>::is_always_lock_free;
+                    Platform::template Atomic<std::uint64_t>::is_always_lock_free;
                   }) {
-      return Platform::template Atomic<Head>::is_always_lock_free;
+      return Platform::template Atomic<std::uint64_t>::is_always_lock_free;
     } else {
       return true;
     }
   }();
 
-  // Runtime answer for this list instance (std::atomic allows a per-object
-  // answer; falls back to the compile-time one where there is no runtime
-  // query).
-  bool head_is_lock_free() const {
-    if constexpr (requires { head_.is_lock_free(); }) {
-      return head_.is_lock_free();
-    } else {
-      return kHeadIsAlwaysLockFree;
-    }
-  }
-
-  // Loud one-time startup detection: call from a subsystem that relies on
-  // the non-blocking property (hsvc's completion path does, in its Service
-  // constructor).  Returns kHeadIsAlwaysLockFree so callers can also export
-  // it as a gauge.
-  static bool WarnIfNotLockFree(const char* where) {
-    if constexpr (!kHeadIsAlwaysLockFree) {
-      static std::atomic<bool> warned{false};
-      if (!warned.exchange(true, std::memory_order_relaxed)) {
-        std::fprintf(stderr,
-                     "hlock: BasicLockFreeFreeList at %s is NOT lock-free: "
-                     "16-byte atomic Head falls back to a hidden libatomic "
-                     "mutex on this target/build (no double-width CAS; on "
-                     "x86-64 compile with -mcx16).  Correctness is "
-                     "unaffected, but the path can block.\n",
-                     where);
-      }
-    }
-    return kHeadIsAlwaysLockFree;
-  }
-
  private:
-  typename Platform::template Atomic<Head> head_{};
+  static Node* NodeOf(std::uint64_t head) {
+    return reinterpret_cast<Node*>(static_cast<std::uintptr_t>(head & kNodeMask));
+  }
+  // `node` under the tag of `prev` plus one; the shift drops the carry out
+  // of bit 63, so the tag wraps mod 2^16.
+  static std::uint64_t Pack(std::uintptr_t node, std::uint64_t prev) {
+    return node | (((prev >> kTagShift) + 1) << kTagShift);
+  }
+
+  typename Platform::template Atomic<std::uint64_t> head_{0};
 };
 
 using LockFreeCounter = BasicLockFreeCounter<>;

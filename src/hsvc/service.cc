@@ -23,11 +23,6 @@ std::uint64_t Service::NowNs() {
 }
 
 Service::Service(const ServiceConfig& config) : config_(config) {
-  // The completion path hands finished requests back through a
-  // LockFreeFreeList; if this build's 16-byte atomic head degraded to the
-  // hidden libatomic mutex, say so loudly once (and export it as the
-  // svc.freelist_lock_free gauge below).
-  hlock::LockFreeFreeList::WarnIfNotLockFree("hsvc completion path");
   runtime_ = std::make_unique<hcluster::ClusterRuntime>(config_.topology);
   table_ = std::make_unique<hcluster::ClusteredTable<std::uint64_t, std::uint64_t>>(
       runtime_.get(), config_.buckets_per_cluster, config_.read_path);
@@ -119,7 +114,8 @@ void Service::PumpLoop(std::uint32_t worker) {
 
   while (!stop_.load(std::memory_order_acquire)) {
     // Handlers first: remote fetches and broadcast writes directed at this
-    // worker are what *other* pumps are blocked on.
+    // worker are what *other* pumps are blocked on.  ProcessBatch keeps
+    // servicing them between requests.
     runtime_->ServiceInbox();
     fill_batch();
     if (!batch.empty()) {
@@ -164,6 +160,14 @@ void Service::ProcessBatch(Pump& pump, std::vector<Request*>& batch) {
   std::uint64_t cache_value = 0;
 
   for (Request* req : batch) {
+    // The worker is a schedulable resource (Section 2.3) at request
+    // granularity: a remote pump blocked on us -- a put's broadcast, a
+    // replica fetch -- waits for at most one request, not the rest of the
+    // batch.  Nothing is held between requests, and the combining cache
+    // below stays linearizable across handler writes: every request in the
+    // batch was submitted before the batch was filled, so a combined read
+    // can take effect at the instant the cached lookup ran.
+    runtime_->ServiceInbox();
     const std::uint64_t start = NowNs();
     req->start_ns = start;
     if (req->flight != nullptr) {
@@ -314,9 +318,9 @@ void Service::ExportMetrics(hmetrics::Registry* out) const {
     out->counter("svc.combined_gets", labels).Add(combined);
     out->gauge("svc.queue_depth", labels).Set(depth);
   }
-  // 1 when the completion free list's 16-byte head is genuinely lock-free on
-  // this target/build, 0 when libatomic backs it with a hidden mutex (see
-  // lock_free.h).  Not per-shard: the property is a property of the build.
+  // 1 when the completion free list's head word is genuinely lock-free on
+  // this target/build (see lock_free.h).  Not per-shard: the property is a
+  // property of the build.
   out->gauge("svc.freelist_lock_free", {})
       .Set(hlock::LockFreeFreeList::kHeadIsAlwaysLockFree ? 1 : 0);
 }

@@ -8,8 +8,8 @@
 // admission behavior.  Each cluster is a shard; each worker of a cluster
 // runs a *pump* -- a long-lived process on the ClusterRuntime worker that
 // drains a bounded MPSC request queue in batches and executes the operations
-// against the clustered table, servicing its RPC inbox throughout (the
-// worker stays a schedulable resource, Section 2.3).
+// against the clustered table, servicing its RPC inbox before every request
+// (the worker stays a schedulable resource, Section 2.3).
 //
 // The contract with clients mirrors the kernel's optimistic protocol:
 //   - Submit is admission-controlled: a full shard queue rejects the request
@@ -191,6 +191,8 @@ class Service {
   std::uint64_t combined_gets() const { return Sum(&Pump::combined); }
 
  private:
+  friend struct ServiceTestPeer;
+
   struct Pump {
     explicit Pump(std::size_t bound) : queue(bound) {}
 

@@ -4,6 +4,8 @@
 #include "src/hcluster/runtime.h"
 
 #include <atomic>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "src/hcluster/replicated_counter.h"
@@ -68,6 +70,47 @@ TEST(ClusterRuntime, CallFromWorkerServicesOwnInbox) {
     std::this_thread::yield();
   }
   SUCCEED();
+}
+
+TEST(ClusterRuntime, CallToSelfRunsInline) {
+  // A process on worker 0 calls worker 0.  A handler another thread posted
+  // to worker 0 beforehand is still pending when fn runs: fn did not go
+  // through the inbox (which would have run that handler first, in arrival
+  // order) but ran directly on the calling thread.
+  ClusterRuntime rt(Topology{2, 1});
+  std::atomic<bool> started{false};
+  std::atomic<bool> handler_posted{false};
+  std::atomic<bool> handler_ran{false};
+  std::atomic<bool> done{false};
+  bool ran_before_handler = false;
+  bool same_thread = false;
+  int result = 0;
+  rt.Post(0, [&] {
+    started = true;
+    while (!handler_posted.load()) {
+      std::this_thread::yield();  // deaf on purpose: the handler stays queued
+    }
+    const std::thread::id caller = std::this_thread::get_id();
+    result = rt.Call(0, [&] {
+      ran_before_handler = !handler_ran.load();
+      same_thread = std::this_thread::get_id() == caller;
+      return 42;
+    });
+    done = true;
+  });
+  while (!started.load()) {
+    std::this_thread::yield();
+  }
+  rt.PostHandler(0, [&] { handler_ran = true; });
+  handler_posted = true;
+  while (!done.load()) {
+    std::this_thread::yield();
+  }
+  EXPECT_EQ(result, 42);
+  EXPECT_TRUE(ran_before_handler);
+  EXPECT_TRUE(same_thread);
+  rt.Quiesce();
+  EXPECT_TRUE(handler_ran.load());
 }
 
 TEST(ClusterRuntime, CrossCallingProcessesDoNotDeadlock) {

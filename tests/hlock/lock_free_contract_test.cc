@@ -1,5 +1,5 @@
-// Pins the BasicLockFreeCounter::Update return-value contract and the
-// free-list lock-freedom introspection added with the hot-path bugfix sweep.
+// Pins the BasicLockFreeCounter::Update return-value contract, the free
+// list's lock-freedom introspection, and its tagged one-word head.
 //
 // Update's contract is fetch_add-style: it returns the value held immediately
 // BEFORE fn was applied.  A refactor that returns the post-update value
@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <cstdint>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -62,25 +65,62 @@ TEST(LockFreeCounterContract, ConcurrentUpdatesEachSeeDistinctPreValues) {
   }
 }
 
-TEST(LockFreeFreeListContract, LockFreedomIntrospectionIsConsistent) {
-  // Whether the 16-byte head is genuinely lock-free depends on the build
-  // (cmpxchg16b / LSE availability), so the value is not asserted.  The
-  // runtime query may only STRENGTHEN the compile-time answer (libatomic can
-  // discover cmpxchg16b at runtime even when is_always_lock_free is false),
-  // never weaken it; the warn helper must report the compile-time constant.
-  hlock::LockFreeFreeList list;
-  if (hlock::LockFreeFreeList::kHeadIsAlwaysLockFree) {
-    EXPECT_TRUE(list.head_is_lock_free());
-  }
-  EXPECT_EQ(hlock::LockFreeFreeList::WarnIfNotLockFree("contract test"),
-            hlock::LockFreeFreeList::kHeadIsAlwaysLockFree);
+// The head is one 64-bit word, so the completion path is lock-free on every
+// default build -- no libatomic fallback behind the "lock-free" name.
+static_assert(hlock::LockFreeFreeList::kHeadIsAlwaysLockFree);
 
+TEST(LockFreeFreeListContract, LockFreedomIntrospectionIsConsistent) {
+  EXPECT_TRUE(hlock::LockFreeFreeList::kHeadIsAlwaysLockFree);
+  hlock::LockFreeFreeList list;
   hlock::LockFreeNode a, b;
   list.Push(&a);
   list.Push(&b);
   EXPECT_EQ(list.Pop(), &b);
   EXPECT_EQ(list.Pop(), &a);
   EXPECT_EQ(list.Pop(), nullptr);
+}
+
+TEST(LockFreeFreeListContract, HighAddressNodeRoundTripsAndTagAdvances) {
+  // mmap hands out the top of the user address space (just below 2^47 on
+  // x86-64), the range that must survive packing into the head's 48-bit
+  // pointer field next to the tag.
+  const std::size_t len = 4096;
+  void* page = mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(page, MAP_FAILED);
+  auto* high = new (page) hlock::LockFreeNode;
+#if defined(__x86_64__)
+  EXPECT_GE(reinterpret_cast<std::uintptr_t>(high), std::uintptr_t{1} << 46);
+#endif
+  hlock::LockFreeNode low;
+
+  hlock::LockFreeFreeList list;
+  std::uint16_t tag = list.tag();
+  const auto expect_step = [&] {
+    EXPECT_EQ(list.tag(), static_cast<std::uint16_t>(tag + 1));
+    tag = list.tag();
+  };
+  list.Push(&low);
+  expect_step();
+  list.Push(high);
+  expect_step();
+  EXPECT_EQ(list.Pop(), high);
+  expect_step();
+  EXPECT_EQ(list.Pop(), &low);
+  expect_step();
+  EXPECT_EQ(list.Pop(), nullptr);
+  EXPECT_EQ(list.tag(), tag);  // a Pop of an empty list changes nothing
+  EXPECT_TRUE(list.empty());
+
+  // The tag wraps mod 2^16 without disturbing the pointer bits.
+  for (int i = 0; i < (1 << 16); ++i) {
+    list.Push(high);
+    ASSERT_EQ(list.Pop(), high);
+  }
+  EXPECT_EQ(list.tag(), tag);
+  list.Push(high);
+  EXPECT_EQ(list.Pop(), high);
+  EXPECT_TRUE(list.empty());
+  munmap(page, len);
 }
 
 }  // namespace
