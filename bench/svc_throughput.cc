@@ -556,8 +556,8 @@ int main(int argc, char** argv) {
       const double frac_expired =
           r.planned == 0 ? 0.0
                          : static_cast<double>(r.expired) / static_cast<double>(r.planned);
-      const double p99_us = static_cast<double>(r.latency.PercentileNs(99)) / 1000.0;
-      const double p999_us = static_cast<double>(r.latency.PercentileNs(99.9)) / 1000.0;
+      const double p99_us = static_cast<double>(r.latency.percentile(99)) / 1000.0;
+      const double p999_us = static_cast<double>(r.latency.percentile(99.9)) / 1000.0;
 
       // Gated point: coordinates plus configuration-determined fractions.
       gate_points.push_back({{"clusters", static_cast<double>(clusters)},
@@ -570,10 +570,10 @@ int main(int argc, char** argv) {
           {{"clusters", static_cast<double>(clusters)},
            {"offered_rps", offered},
            {"achieved_rps", r.achieved_rps()},
-           {"p50_us", static_cast<double>(r.latency.PercentileNs(50)) / 1000.0},
+           {"p50_us", static_cast<double>(r.latency.percentile(50)) / 1000.0},
            {"p99_us", p99_us},
            {"p999_us", p999_us},
-           {"mean_us", r.latency.mean_ns() / 1000.0},
+           {"mean_us", r.latency.mean() / 1000.0},
            {"rejected_submits", static_cast<double>(r.rejected_submits)},
            {"svc_rejected", static_cast<double>(out.svc_rejected)},
            {"svc_expired", static_cast<double>(out.svc_expired)},

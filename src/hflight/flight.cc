@@ -245,23 +245,6 @@ void FlightRecorder::ExportSpans(hmetrics::TraceSession* trace) const {
   }
 }
 
-namespace {
-
-void WriteHist(hmetrics::JsonWriter* w, const hmetrics::LatencyHistogram& h) {
-  w->BeginObject();
-  w->Field("count", h.count());
-  w->Field("sum", h.sum());
-  w->Field("min", h.min());
-  w->Field("max", h.max());
-  w->Field("mean", h.mean());
-  w->Field("p50", h.percentile(50));
-  w->Field("p95", h.percentile(95));
-  w->Field("p99", h.percentile(99));
-  w->EndObject();
-}
-
-}  // namespace
-
 void FlightRecorder::WriteJson(hmetrics::JsonWriter* w) const {
   SpinGuard guard(&mu_);
   w->BeginObject();
@@ -288,11 +271,15 @@ void FlightRecorder::WriteJson(hmetrics::JsonWriter* w) const {
   w->BeginObject();
   for (int p = 0; p < kNumPhases; ++p) {
     w->Key(PhaseName(static_cast<Phase>(p)));
-    WriteHist(w, phase_hist_[p]);
+    w->BeginObject();
+    hmetrics::WriteSummary(w, phase_hist_[p]);
+    w->EndObject();
   }
   w->EndObject();
   w->Key("total");
-  WriteHist(w, total_hist_);
+  w->BeginObject();
+  hmetrics::WriteSummary(w, total_hist_);
+  w->EndObject();
   w->Key("sites");
   w->BeginArray();
   for (const SiteAgg& s : sites_) {

@@ -298,10 +298,10 @@ class FlightRecorder {
   std::uint64_t promoted_dropped() const;
   std::vector<FlightRecord> promoted() const;
   std::uint64_t fate_count(Fate f) const;
-  const hmetrics::LatencyHistogram& phase_hist(Phase p) const {
+  const hmetrics::Histogram& phase_hist(Phase p) const {
     return phase_hist_[static_cast<int>(p)];
   }
-  const hmetrics::LatencyHistogram& total_hist() const { return total_hist_; }
+  const hmetrics::Histogram& total_hist() const { return total_hist_; }
 
   // Emits the promoted records as Chrome spans (category "flight"): one
   // flight/total span per record carrying id/parent/fate args -- the causal
@@ -343,8 +343,8 @@ class FlightRecorder {
   mutable std::atomic_flag mu_ = ATOMIC_FLAG_INIT;
   std::uint64_t closed_ = 0;
   std::uint64_t fates_[kNumFates] = {};
-  hmetrics::LatencyHistogram phase_hist_[kNumPhases];
-  hmetrics::LatencyHistogram total_hist_;
+  hmetrics::Histogram phase_hist_[kNumPhases];
+  hmetrics::Histogram total_hist_;
   std::vector<std::uint64_t> reservoir_;
   std::uint64_t rng_state_ = 0;
   std::uint64_t threshold_ = 0;

@@ -229,7 +229,7 @@ class KernelSystem {
         registry != nullptr ? &registry->histogram("kernel.rpc_batch_depth") : nullptr;
   }
   hmetrics::Registry* metrics() { return metrics_; }
-  hmetrics::LatencyHistogram* rpc_batch_depth_hist() { return rpc_batch_depth_; }
+  hmetrics::Histogram* rpc_batch_depth_hist() { return rpc_batch_depth_; }
 
   // --- lock profiling -----------------------------------------------------------
   // Attaches an hprof site table: every cluster's page-table coarse lock gets
@@ -296,7 +296,7 @@ class KernelSystem {
   std::vector<std::vector<hsim::SimWord*>> pte_words_;
   Counters counters_;
   hmetrics::Registry* metrics_ = nullptr;
-  hmetrics::LatencyHistogram* rpc_batch_depth_ = nullptr;
+  hmetrics::Histogram* rpc_batch_depth_ = nullptr;
   hprof::SiteTable* lock_profiler_ = nullptr;
   hflight::FlightRecorder* flight_ = nullptr;
 };

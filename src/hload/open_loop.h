@@ -8,7 +8,8 @@
 // queueing delay never shows up in its numbers.  Here, every terminal
 // outcome -- success, not-found, deadline expiry, final rejection after
 // retries, or abandonment at window close -- is recorded against the op's
-// scheduled arrival time (coordinated-omission-safe: see recorder.h).
+// scheduled arrival time (coordinated-omission-safe: see
+// hmetrics::Histogram::RecordAsOf).
 //
 // Rejected submissions follow the paper's Section 2.3 client contract:
 // jittered exponential backoff seeded from the service's own retry-after
@@ -32,8 +33,8 @@
 
 #include "src/halloc/slab_allocator.h"
 #include "src/hflight/flight.h"
-#include "src/hload/recorder.h"
 #include "src/hload/workload.h"
+#include "src/hmetrics/histogram.h"
 #include "src/hsvc/service.h"
 
 namespace hload {
@@ -64,7 +65,7 @@ struct RunnerResult {
   std::uint64_t pool_exhausted = 0;    // planned ops skipped: no free node
   std::uint64_t retries = 0;           // re-submission attempts made
   std::uint64_t window_ns = 0;         // submission window (max over generators)
-  LatencyRecorder latency;             // all terminal outcomes, ns from scheduled
+  hmetrics::Histogram latency;         // all terminal outcomes, ns from scheduled
 
   double offered_rps() const {
     return window_ns == 0 ? 0.0

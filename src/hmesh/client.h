@@ -20,8 +20,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/hload/recorder.h"
 #include "src/hload/workload.h"
+#include "src/hmetrics/histogram.h"
 #include "src/hmesh/mesh.h"
 
 namespace hmesh {
@@ -48,7 +48,7 @@ struct ClientStats {
   std::uint64_t local_reads = 0;
   std::uint64_t forwarded_reads = 0;
   std::uint64_t failed = 0;  // ops abandoned because this machine died
-  hload::LatencyRecorder latency;
+  hmetrics::Histogram latency;
   std::vector<AckedWrite> acked_writes;
   bool done = false;
 };

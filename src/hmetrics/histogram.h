@@ -1,179 +1,133 @@
-// Streaming latency histogram with a sorted-sample cache.
+// Bounded log-linear histogram: the one histogram for host-time series and
+// for every series that records without bound.
 //
-// The previous harness recorder copied and sorted the full sample vector on
-// EVERY percentile query -- O(n log n) per call, and benches query several
-// percentiles per table row.  LatencyHistogram sorts once, lazily, and
-// invalidates the cache on insert, so a burst of percentile/min/max/fraction
-// queries after a run costs one sort total.  Sum, min and max are maintained
-// streaming so they never touch the cache at all.
+// Values are unsigned 64-bit and unit-free (nanoseconds, microseconds,
+// simulator ticks or counts).  Buckets are exact in [0, 32) and split every
+// power of two above into 32 sub-buckets, so a percentile lies within one
+// bucket -- 1/32 of the value, about 3% -- of the exact order statistic,
+// which is far below run-to-run noise at p999.  count, sum, min, max and
+// mean are exact.  The histogram is a fixed-size array (about 15 KiB): it
+// never allocates and never keeps samples, so a tail percentile after a
+// million records describes all of them, not a retained prefix, and Merge()
+// of per-thread or per-pump shards is a bucket-wise sum.
 //
-// Raw-sample retention is capped (set_sample_cap): once the cap is reached
-// further samples still update the streaming statistics (count, sum, min,
-// max, mean) but are not retained, and samples_dropped() counts them.  Order
-// statistics (percentile, fraction_above) are then computed over the retained
-// prefix -- exact below the cap, a prefix approximation above it.  The
-// default cap is high enough that every existing test and bench stays exact;
-// long profiled runs stay bounded at cap * 8 bytes.
+// Percentiles use the nearest-rank rule of hsim::LatencyRecorder, the exact
+// sample-retaining recorder the simulator keeps for results whose raw samples
+// are part of a contract: rank = p/100 * (n-1), rounded half-up, 0-based.
+// The answer is the midpoint of the rank's bucket clamped to [min, max], and
+// ranks 0 and n-1 answer min and max exactly.
 //
-// Samples are unsigned 64-bit (simulator ticks or nanoseconds); all derived
-// statistics are doubles.  Merge() combines per-processor (or per-thread)
-// shards into one distribution, which is how sharded harnesses aggregate.
+// RecordAsOf is the coordinated-omission backfill of open-loop load
+// generation (Tene): latency is measured from an op's *scheduled* arrival,
+// and an op still incomplete when the window closes records the latency it
+// had already accrued, so a slow service cannot hide its worst ops by not
+// finishing them.
 
 #ifndef HMETRICS_HISTOGRAM_H_
 #define HMETRICS_HISTOGRAM_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <limits>
-#include <vector>
+
+#include "src/hmetrics/json.h"
 
 namespace hmetrics {
 
-class LatencyHistogram {
+class Histogram {
  public:
-  using Sample = std::uint64_t;
-
-  // 1M samples == 8 MiB retained per series: bounded, yet far beyond what any
-  // test or paper-length bench records, so results below the cap are exact.
-  static constexpr std::size_t kDefaultSampleCap = 1u << 20;
-
-  void Record(Sample v) {
+  void Record(std::uint64_t v) {
+    ++buckets_[Index(v)];
+    min_ = count_ == 0 ? v : std::min(min_, v);
+    max_ = std::max(max_, v);
     ++count_;
     AddSaturating(v);
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-    if (samples_.size() >= sample_cap_) {
-      ++dropped_;
-      return;
-    }
-    samples_.push_back(v);
-    // Invalidate the query cache (cheap flag, no deallocation).
-    sorted_valid_ = false;
   }
 
-  // Bulk-records `n` samples of value `v` in O(1) streaming work plus one
-  // vector append for the retained copies.  Identical in outcome to calling
-  // Record(v) n times: exact count/sum/min/max, retention up to the cap,
-  // overflow counted in samples_dropped().  This is the path coordinated-
-  // omission backfill and bucketed per-thread recorders use -- thousands of
-  // synthetic samples per flush must not pay the per-sample cap bookkeeping.
-  // v * n can exceed 64 bits (a bucketed recorder flushing millions of large
-  // latencies); the sum saturates instead of wrapping, and sum_overflowed()
-  // reports that the total is a floor, not exact.
-  void RecordN(Sample v, std::uint64_t n) {
-    if (n == 0) {
-      return;
-    }
-    count_ += n;
-    std::uint64_t bulk;
-    if (__builtin_mul_overflow(v, n, &bulk)) {
-      SaturateSum();
-    } else {
-      AddSaturating(bulk);
-    }
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-    const std::size_t room =
-        samples_.size() < sample_cap_ ? sample_cap_ - samples_.size() : 0;
-    const std::uint64_t take = std::min<std::uint64_t>(room, n);
-    if (take > 0) {
-      samples_.insert(samples_.end(), static_cast<std::size_t>(take), v);
-      sorted_valid_ = false;
-    }
-    dropped_ += n - take;
+  // Backfill for an op scheduled at `scheduled` and still incomplete when the
+  // window closed at `as_of`: its latency is *at least* the elapsed time, so
+  // record that lower bound instead of dropping the op.
+  void RecordAsOf(std::uint64_t scheduled, std::uint64_t as_of) {
+    Record(as_of > scheduled ? as_of - scheduled : 0);
   }
 
-  // Folds `other`'s samples into this histogram (shard aggregation).  This
-  // histogram's own cap governs how many of the merged samples are retained.
-  void Merge(const LatencyHistogram& other) {
+  void Merge(const Histogram& other) {
     if (other.count_ == 0) {
       return;
     }
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      buckets_[i] += other.buckets_[i];
+    }
+    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
+    max_ = std::max(max_, other.max_);
     count_ += other.count_;
     AddSaturating(other.sum_);
     if (other.sum_overflowed_) {
       SaturateSum();
     }
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    dropped_ += other.dropped_;
-    const std::size_t room =
-        samples_.size() < sample_cap_ ? sample_cap_ - samples_.size() : 0;
-    const std::size_t take = std::min(room, other.samples_.size());
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.begin() + static_cast<std::ptrdiff_t>(take));
-    dropped_ += other.samples_.size() - take;
-    if (take > 0) {
-      sorted_valid_ = false;
-    }
   }
 
-  // Caps future raw-sample retention.  Already-retained samples are kept even
-  // if they exceed a newly-lowered cap (no information is destroyed).
-  void set_sample_cap(std::size_t cap) { sample_cap_ = cap; }
-  std::size_t sample_cap() const { return sample_cap_; }
-
-  // Samples recorded (or merged) beyond the retention cap.
-  std::uint64_t samples_dropped() const { return dropped_; }
-
-  // True once the streaming sum hit the uint64 ceiling: sum()/mean() are
-  // floors from then on, never wrapped-around garbage.
-  bool sum_overflowed() const { return sum_overflowed_; }
-
-  // Forgets everything, keeping the configured cap.
-  void Reset() {
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = false;
-    count_ = 0;
-    sum_ = 0;
-    sum_overflowed_ = false;
-    dropped_ = 0;
-    min_ = std::numeric_limits<Sample>::max();
-    max_ = 0;
-  }
+  void Reset() { *this = Histogram(); }
 
   std::uint64_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
-
-  double mean() const {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) / static_cast<double>(count_);
-  }
-  Sample max() const { return count_ == 0 ? 0 : max_; }
-  Sample min() const { return count_ == 0 ? 0 : min_; }
   std::uint64_t sum() const { return sum_; }
+  // True once the sum saturated at the uint64 ceiling: sum() and mean() are
+  // floors from then on, never wrapped-around garbage.
+  bool sum_overflowed() const { return sum_overflowed_; }
+  std::uint64_t min() const { return min_; }
+  std::uint64_t max() const { return max_; }
+  double mean() const {
+    return count_ == 0 ? 0.0 : static_cast<double>(sum_) / static_cast<double>(count_);
+  }
 
-  // Nearest-rank percentile with the same rounding the old recorder used:
-  // rank = p/100 * (n-1), rounded half-up.  p is clamped to [0, 100].
-  // Computed over the retained samples (exact while nothing was dropped).
-  Sample percentile(double p) const {
-    if (samples_.empty()) {
+  // Nearest-rank percentile, p clamped to [0, 100]; 0 when empty.
+  std::uint64_t percentile(double p) const {
+    if (count_ == 0) {
       return 0;
     }
-    p = std::min(std::max(p, 0.0), 100.0);
-    EnsureSorted();
-    const double rank =
-        p / 100.0 * static_cast<double>(sorted_.size() - 1);
-    return sorted_[static_cast<std::size_t>(rank + 0.5)];
-  }
-
-  // Fraction of retained samples strictly above `threshold`.  Uses the sorted
-  // cache: O(log n) after the one-time sort instead of a full scan per query.
-  double fraction_above(Sample threshold) const {
-    if (samples_.empty()) {
-      return 0.0;
+    p = std::clamp(p, 0.0, 100.0);
+    const auto rank =
+        static_cast<std::uint64_t>(p / 100.0 * static_cast<double>(count_ - 1) + 0.5);
+    if (rank == 0) {
+      return min_;
     }
-    EnsureSorted();
-    const auto first_above =
-        std::upper_bound(sorted_.begin(), sorted_.end(), threshold);
-    return static_cast<double>(sorted_.end() - first_above) /
-           static_cast<double>(sorted_.size());
+    if (rank >= count_ - 1) {
+      return max_;
+    }
+    // The buckets sum to count_ > rank, so the walk stops inside the array.
+    std::size_t i = 0;
+    for (std::uint64_t seen = buckets_[0]; seen <= rank; seen += buckets_[++i]) {
+    }
+    return std::clamp(Midpoint(i), min_, max_);
   }
-
-  const std::vector<Sample>& samples() const { return samples_; }
 
  private:
+  // [0, 32) exact, then 32 sub-buckets per power of two.
+  static constexpr unsigned kSubBits = 5;
+  static constexpr std::size_t kSub = std::size_t{1} << kSubBits;
+  static constexpr std::size_t kBuckets = kSub + (64 - kSubBits) * kSub;
+
+  static std::size_t Index(std::uint64_t v) {
+    if (v < kSub) {
+      return static_cast<std::size_t>(v);
+    }
+    const unsigned major = static_cast<unsigned>(std::bit_width(v)) - 1;  // >= kSubBits
+    const std::size_t sub = static_cast<std::size_t>((v >> (major - kSubBits)) & (kSub - 1));
+    return kSub + (major - kSubBits) * kSub + sub;
+  }
+
+  static std::uint64_t Midpoint(std::size_t index) {
+    if (index < kSub) {
+      return index;
+    }
+    const unsigned major = kSubBits + static_cast<unsigned>((index - kSub) / kSub);
+    const std::uint64_t sub = (index - kSub) % kSub;
+    const std::uint64_t lower = (std::uint64_t{1} << major) + (sub << (major - kSubBits));
+    return lower + (std::uint64_t{1} << (major - kSubBits)) / 2;
+  }
+
   void AddSaturating(std::uint64_t v) {
     if (__builtin_add_overflow(sum_, v, &sum_)) {
       SaturateSum();
@@ -184,26 +138,28 @@ class LatencyHistogram {
     sum_overflowed_ = true;
   }
 
-  void EnsureSorted() const {
-    if (!sorted_valid_) {
-      sorted_ = samples_;
-      std::sort(sorted_.begin(), sorted_.end());
-      sorted_valid_ = true;
-    }
-  }
-
-  std::vector<Sample> samples_;
-  std::size_t sample_cap_ = kDefaultSampleCap;
+  std::array<std::uint64_t, kBuckets> buckets_{};
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   bool sum_overflowed_ = false;
-  std::uint64_t dropped_ = 0;
-  Sample min_ = std::numeric_limits<Sample>::max();
-  Sample max_ = 0;
-  // Query-side cache: mutable so const statistics queries can build it.
-  mutable std::vector<Sample> sorted_;
-  mutable bool sorted_valid_ = false;
+  std::uint64_t min_ = 0;
+  std::uint64_t max_ = 0;
 };
+
+// Writes `h`'s summary -- count, sum, min, max, mean, p50, p95, p99, in that
+// order -- as fields of the JSON object open in `w`.  Registry series, hprof
+// lock sites and hflight phases all export this shape; hprof's report reads
+// it back, and hwhy reads the flight documents that carry it.
+inline void WriteSummary(JsonWriter* w, const Histogram& h) {
+  w->Field("count", h.count());
+  w->Field("sum", h.sum());
+  w->Field("min", h.min());
+  w->Field("max", h.max());
+  w->Field("mean", h.mean());
+  w->Field("p50", h.percentile(50));
+  w->Field("p95", h.percentile(95));
+  w->Field("p99", h.percentile(99));
+}
 
 }  // namespace hmetrics
 

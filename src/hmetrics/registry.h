@@ -8,8 +8,9 @@
 //
 // Export is a JSON array of series objects, one line each:
 //   {"name":"kernel.rpc_retries","type":"counter","labels":{...},"value":7}
-// Histograms export summary statistics, not raw samples (raw samples stay
-// available in memory for tests via LatencyHistogram::samples()).
+// Histograms are bounded hmetrics::Histograms: they keep buckets, not raw
+// samples, and export the WriteSummary fields (count, sum, min, max, mean,
+// p50, p95, p99).
 
 #ifndef HMETRICS_REGISTRY_H_
 #define HMETRICS_REGISTRY_H_
@@ -63,7 +64,7 @@ class Registry {
   Gauge& gauge(const std::string& name, const Labels& labels = {}) {
     return Find(&gauges_, name, labels);
   }
-  LatencyHistogram& histogram(const std::string& name, const Labels& labels = {}) {
+  Histogram& histogram(const std::string& name, const Labels& labels = {}) {
     return Find(&histograms_, name, labels);
   }
 
@@ -100,18 +101,7 @@ class Registry {
     }
     for (const auto& [key, h] : histograms_) {
       OpenSeries(w, key, "histogram");
-      w->Field("count", h->count());
-      w->Field("sum", h->sum());
-      w->Field("min", h->min());
-      w->Field("max", h->max());
-      w->Field("mean", h->mean());
-      w->Field("p50", h->percentile(50));
-      w->Field("p95", h->percentile(95));
-      w->Field("p99", h->percentile(99));
-      if (h->samples_dropped() > 0) {
-        // Raw-sample cap hit: order statistics above cover a prefix only.
-        w->Field("dropped", h->samples_dropped());
-      }
+      WriteSummary(w, *h);
       w->EndObject();
     }
   }
@@ -154,7 +144,7 @@ class Registry {
   // addresses for cached handles.
   std::map<SeriesKey, std::unique_ptr<Counter>> counters_;
   std::map<SeriesKey, std::unique_ptr<Gauge>> gauges_;
-  std::map<SeriesKey, std::unique_ptr<LatencyHistogram>> histograms_;
+  std::map<SeriesKey, std::unique_ptr<Histogram>> histograms_;
 };
 
 }  // namespace hmetrics

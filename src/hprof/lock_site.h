@@ -12,7 +12,8 @@
 // What a site records (the paper's Section 4.1 / Figures 4-5 signals):
 //   - acquisitions and contended acquisitions (the acquirer had to wait),
 //   - wait-time and hold-time histograms (ticks; the owner converts via the
-//     table's ticks_per_us),
+//     table's ticks_per_us): bounded hmetrics::Histograms, so a site's tail
+//     covers every acquisition of a long campaign at fixed memory,
 //   - maximum queue depth observed (concurrent waiters),
 //   - a handoff matrix counting owner transitions by NUMA distance:
 //     same-processor, same-cluster, cross-cluster -- the signal NUMA-aware
@@ -92,12 +93,7 @@ class LockSiteStats {
   // cross-cluster, the conservative default).
   explicit LockSiteStats(std::string name, std::uint32_t procs_per_cluster = 1)
       : name_(std::move(name)),
-        procs_per_cluster_(procs_per_cluster == 0 ? 1 : procs_per_cluster) {
-    // Wait/hold retention stays modest per site: profiled campaigns create
-    // one site per lock and run for millions of acquisitions.
-    wait_.set_sample_cap(1u << 16);
-    hold_.set_sample_cap(1u << 16);
-  }
+        procs_per_cluster_(procs_per_cluster == 0 ? 1 : procs_per_cluster) {}
   LockSiteStats(const LockSiteStats&) = delete;
   LockSiteStats& operator=(const LockSiteStats&) = delete;
 
@@ -215,8 +211,8 @@ class LockSiteStats {
   std::uint32_t max_queue_depth() const {
     return max_queue_depth_.load(std::memory_order_relaxed);
   }
-  const hmetrics::LatencyHistogram& wait() const { return wait_; }
-  const hmetrics::LatencyHistogram& hold() const { return hold_; }
+  const hmetrics::Histogram& wait() const { return wait_; }
+  const hmetrics::Histogram& hold() const { return hold_; }
   std::uint64_t total_wait_ticks() const { return wait_.sum(); }
 
   // Which clusters acquired this lock, and how long each waited in aggregate.
@@ -235,9 +231,13 @@ class LockSiteStats {
     w->Field("contended", contended_);
     w->Field("max_queue_depth", std::uint64_t{max_queue_depth()});
     w->Key("wait");
-    WriteHistogram(w, wait_);
+    w->BeginObject();
+    hmetrics::WriteSummary(w, wait_);
+    w->EndObject();
     w->Key("hold");
-    WriteHistogram(w, hold_);
+    w->BeginObject();
+    hmetrics::WriteSummary(w, hold_);
+    w->EndObject();
     w->Key("handoffs");
     w->BeginObject();
     w->Field("same_processor", handoffs(Handoff::kSameProcessor));
@@ -270,19 +270,6 @@ class LockSiteStats {
     std::atomic_flag* flag;
   };
 
-  static void WriteHistogram(hmetrics::JsonWriter* w, const hmetrics::LatencyHistogram& h) {
-    w->BeginObject();
-    w->Field("count", h.count());
-    w->Field("sum", h.sum());
-    w->Field("min", h.min());
-    w->Field("max", h.max());
-    w->Field("mean", h.mean());
-    w->Field("p50", h.percentile(50));
-    w->Field("p95", h.percentile(95));
-    w->Field("p99", h.percentile(99));
-    w->EndObject();
-  }
-
   std::string name_;
   std::uint32_t procs_per_cluster_;
   std::atomic_flag mu_ = ATOMIC_FLAG_INIT;
@@ -292,8 +279,8 @@ class LockSiteStats {
   std::uint32_t last_owner_ = 0;
   std::uint32_t last_owner_cluster_ = 0;
   bool has_last_owner_ = false;
-  hmetrics::LatencyHistogram wait_;
-  hmetrics::LatencyHistogram hold_;
+  hmetrics::Histogram wait_;
+  hmetrics::Histogram hold_;
   std::map<std::uint32_t, ClusterShare> by_cluster_;
   std::atomic<std::uint32_t> queue_depth_{0};
   std::atomic<std::uint32_t> max_queue_depth_{0};

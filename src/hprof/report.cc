@@ -14,7 +14,7 @@ namespace {
 
 using hmetrics::JsonValue;
 
-// Nearest-rank percentile with LatencyHistogram's rounding, over a sorted
+// Nearest-rank percentile with hmetrics::Histogram's rank rule, over a sorted
 // vector of doubles (trace timestamps are already in microseconds).
 double Percentile(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) {

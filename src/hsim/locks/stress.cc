@@ -101,8 +101,10 @@ LockStressResult RunLockStress(const LockStressParams& params) {
     params.metrics->counter("lock.mcs_repairs", labels).Add(result.mcs_repairs);
     params.metrics->counter("machine.bus_wait_ticks", labels).Add(result.bus_wait);
     params.metrics->counter("machine.mem_wait_ticks", labels).Add(result.mem_wait);
-    auto& h = params.metrics->histogram("lock.acquire_ticks", labels);
-    h.Merge(result.acquire_latency);
+    hmetrics::Histogram& h = params.metrics->histogram("lock.acquire_ticks", labels);
+    for (const Tick ticks : result.acquire_latency.samples()) {
+      h.Record(ticks);
+    }
   }
   return result;
 }

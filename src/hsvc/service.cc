@@ -294,9 +294,9 @@ void Service::ExportMetrics(hmetrics::Registry* out) const {
     std::uint64_t batches = 0;
     std::uint64_t combined = 0;
     double depth = 0;
-    hmetrics::LatencyHistogram& wait = out->histogram("svc.wait_us", labels);
-    hmetrics::LatencyHistogram& service = out->histogram("svc.service_us", labels);
-    hmetrics::LatencyHistogram& fill = out->histogram("svc.batch_fill", labels);
+    hmetrics::Histogram& wait = out->histogram("svc.wait_us", labels);
+    hmetrics::Histogram& service = out->histogram("svc.service_us", labels);
+    hmetrics::Histogram& fill = out->histogram("svc.batch_fill", labels);
     for (std::uint32_t i = 0; i < per_cluster; ++i) {
       const Pump& pump = *pumps_[c * per_cluster + i];
       admitted += pump.admitted.load(std::memory_order_relaxed);

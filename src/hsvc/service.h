@@ -33,7 +33,8 @@
 // list), so the producer side is allocation- and lock-free end to end.
 //
 // Observability: per-shard hmetrics (admitted/rejected/expired/served
-// counters, queue-depth gauge, wait/service/batch-fill histograms) via
+// counters, queue-depth gauge, and wait/service/batch-fill histograms that
+// each pump keeps as fixed-size buckets, merged at export) via
 // ExportMetrics, and hprof lock sites on every shard lock (each replica's
 // coarse table lock and reserve word) via AttachLockProfiler.
 
@@ -214,10 +215,11 @@ class Service {
     std::atomic<std::uint64_t> combined{0};
     std::atomic<std::uint64_t> ema_service_ns{2000};  // retry-after input
 
-    // Pump-thread-only, exported quiescently.
-    hmetrics::LatencyHistogram wait_us;
-    hmetrics::LatencyHistogram service_us;
-    hmetrics::LatencyHistogram batch_fill;
+    // Pump-thread-only, exported quiescently.  Bounded bucket histograms:
+    // recording allocates nothing, and the percentiles cover the whole run.
+    hmetrics::Histogram wait_us;
+    hmetrics::Histogram service_us;
+    hmetrics::Histogram batch_fill;
 
     // Token-bucket pacing state (pump-thread-only).
     double tokens = 0;

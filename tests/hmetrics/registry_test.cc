@@ -27,7 +27,7 @@ TEST(Registry, LabelsDistinguishSeries) {
 TEST(Registry, ReferencesStayStableAcrossInserts) {
   Registry reg;
   Counter& cached = reg.counter("kernel.rpcs");
-  LatencyHistogram& hist = reg.histogram("kernel.rpc_batch_depth");
+  Histogram& hist = reg.histogram("kernel.rpc_batch_depth");
   // Creating many more series must not move the cached elements (the kernel
   // caches these pointers and bumps them on the hot path).
   for (int i = 0; i < 100; ++i) {
@@ -54,7 +54,7 @@ TEST(Registry, ToJsonParsesBack) {
   Registry reg;
   reg.counter("kernel.faults", {{"test", "independent"}}).Add(12);
   reg.gauge("util").Set(0.5);
-  LatencyHistogram& h = reg.histogram("lock.acquire_ticks", {{"lock", "ttas"}});
+  Histogram& h = reg.histogram("lock.acquire_ticks", {{"lock", "ttas"}});
   for (std::uint64_t v : {10, 20, 30}) {
     h.Record(v);
   }
@@ -96,13 +96,12 @@ TEST(RegistryTest, ResetAllZeroesEverySeriesInPlace) {
   Registry reg;
   Counter& c = reg.counter("ops", {{"lock", "mcs"}});
   Gauge& g = reg.gauge("util");
-  LatencyHistogram& h = reg.histogram("wait");
-  h.set_sample_cap(2);
+  Histogram& h = reg.histogram("wait");
   c.Add(7);
   g.Set(0.75);
   h.Record(10);
   h.Record(20);
-  h.Record(30);  // dropped by the cap
+  h.Record(30);
 
   reg.ResetAll();
 
@@ -110,7 +109,7 @@ TEST(RegistryTest, ResetAllZeroesEverySeriesInPlace) {
   EXPECT_EQ(c.value(), 0u);
   EXPECT_DOUBLE_EQ(g.value(), 0.0);
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.samples_dropped(), 0u);
+  EXPECT_EQ(h.max(), 0u);
   // ...no series was deleted, and the handles still record.
   EXPECT_EQ(reg.series_count(), 3u);
   c.Increment();

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/hmetrics/json.h"
 #include "src/hprof/lock_site.h"
 
 namespace hcluster {
@@ -273,6 +275,63 @@ TEST(Service, ExportMetricsShapesPerShardSeries) {
   // one-word head genuinely lock-free on this build?  It is.).
   EXPECT_EQ(registry.series_count(), 10u * svc.num_shards() + 1);
   EXPECT_EQ(registry.gauge("svc.freelist_lock_free", {}).value(), 1.0);
+}
+
+TEST(Service, ExportedHistogramsCountEveryDequeuedRequest) {
+  ServiceConfig config;
+  config.topology = hcluster::Topology{2, 1};
+  Service svc(config);
+  SyncClient client;
+  constexpr int kRequests = 300;
+  for (int i = 0; i < kRequests; ++i) {
+    if (i % 4 == 3) {
+      client.req.completion = &client.done;
+      client.req.kind = OpKind::kPut;
+      client.req.key = static_cast<std::uint64_t>(i);
+      client.req.deadline_ns = 1;  // long past: dequeued, then expired
+      ASSERT_TRUE(svc.Submit(&client.req, i % 2).admitted);
+      while (client.done.Pop() == nullptr) {
+        std::this_thread::yield();
+      }
+      ASSERT_EQ(client.req.status, Status::kExpired);
+    } else {
+      const OpKind kind = i % 3 == 0 ? OpKind::kPut : OpKind::kGet;
+      ASSERT_NE(client.Run(svc, kind, static_cast<std::uint64_t>(i % 7), 1, i % 2),
+                Status::kExpired);
+    }
+  }
+  svc.Drain();
+  ASSERT_EQ(svc.served() + svc.expired(), static_cast<std::uint64_t>(kRequests));
+  ASSERT_GT(svc.expired(), 0u);
+
+  hmetrics::Registry registry;
+  svc.ExportMetrics(&registry);
+  std::uint64_t service_count = 0;
+  std::uint64_t wait_count = 0;
+  std::uint64_t fill_sum = 0;
+  for (std::uint32_t shard = 0; shard < svc.num_shards(); ++shard) {
+    const hmetrics::Labels labels{{"shard", std::to_string(shard)}};
+    service_count += registry.histogram("svc.service_us", labels).count();
+    wait_count += registry.histogram("svc.wait_us", labels).count();
+    fill_sum += registry.histogram("svc.batch_fill", labels).sum();
+  }
+  EXPECT_EQ(service_count, svc.served());
+  EXPECT_EQ(wait_count, svc.served() + svc.expired());
+  EXPECT_EQ(fill_sum, svc.served() + svc.expired());  // batch sizes add up
+
+  // Buckets, not a capped sample log: the export has no "dropped" field.
+  hmetrics::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(hmetrics::JsonParser::Parse(registry.ToJson(), &doc, &error)) << error;
+  int histograms = 0;
+  for (const hmetrics::JsonValue& series : doc.array) {
+    if (series["type"].string_value == "histogram") {
+      ++histograms;
+      EXPECT_FALSE(series.Has("dropped")) << series["name"].string_value;
+      EXPECT_TRUE(series.Has("p99")) << series["name"].string_value;
+    }
+  }
+  EXPECT_EQ(histograms, 3 * static_cast<int>(svc.num_shards()));
 }
 
 TEST(Service, LockProfilerSeesShardTraffic) {
