@@ -90,19 +90,6 @@ class ClusterRuntime {
     return value;
   }
 
-  // Runs `fn` once on the i-th peer of every cluster except `skip` (the
-  // pessimistic broadcast pattern).  `fn(cluster)` is built per target.
-  template <typename MakeFn>
-  void Broadcast(ClusterId skip, MakeFn make_fn) {
-    const WorkerId self = current_worker();
-    for (ClusterId c = 0; c < topology_.num_clusters(); ++c) {
-      if (c == skip) {
-        continue;
-      }
-      Call(topology_.peer_of(self == kNotAWorker ? 0 : self, c), make_fn(c));
-    }
-  }
-
   // Services the calling worker's handler inbox once.  Worker code that
   // busy-waits on anything other than Call (e.g. an entry reservation) must
   // keep calling this while it waits: the worker is itself a schedulable

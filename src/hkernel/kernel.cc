@@ -88,7 +88,7 @@ KernelSystem::KernelSystem(hsim::Machine* machine, const KernelConfig& config)
   cpus_.reserve(nprocs);
   pte_words_.resize(nprocs);
   for (hsim::ProcId p = 0; p < nprocs; ++p) {
-    cpus_.push_back(std::make_unique<CpuKernel>(this, p));
+    cpus_.push_back(std::make_unique<CpuKernel>(this, p, nprocs));
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
     pte_words_[p].push_back(&machine->AllocWord(p, 0));
   }
@@ -166,7 +166,7 @@ hsim::Task<void> KernelSystem::WaitReserveFree(hsim::Processor& p, hsim::SimWord
 }
 
 hsim::Task<void> KernelSystem::CallWithRetry(hsim::Processor& p, hsim::ProcId target,
-                                             RpcRequest* request, int* retries) {
+                                             RpcPacket* request, int* retries) {
   CpuKernel& k = cpu(p.id());
   hsim::Tick delay = 64;
   int consecutive = 0;
@@ -318,7 +318,7 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
         co_await LockRelease(p, c.lock());
         lock_cycles += p.now() - t0;
       }
-      RpcRequest request;
+      RpcPacket request;
       request.op = RpcOp::kGetPage;
       request.page = page;
       co_await CallWithRetry(p, PeerOf(p.id(), home), &request, &outcome.rpc_retries);
@@ -370,7 +370,7 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
       lock_cycles += p.now() - t0;
     }
 
-    RpcRequest request;
+    RpcPacket request;
     request.op = RpcOp::kGetPage;
     request.page = page;
     co_await CallWithRetry(p, PeerOf(p.id(), home), &request, &outcome.rpc_retries);
@@ -433,7 +433,7 @@ hsim::Task<void> KernelSystem::UnmapGlobal(hsim::Processor& p, std::uint64_t pag
     if (k == home || (mask & (1ULL << k)) == 0) {
       continue;
     }
-    RpcRequest request;
+    RpcPacket request;
     request.op = RpcOp::kInvalidate;
     request.page = page;
     co_await CallWithRetry(p, PeerOf(p.id(), k), &request, nullptr);
@@ -470,7 +470,7 @@ hsim::Task<void> KernelSystem::GlobalUpdate(hsim::Processor& p, std::uint64_t pa
     if (k == home || (mask & (1ULL << k)) == 0) {
       continue;
     }
-    RpcRequest request;
+    RpcPacket request;
     request.op = RpcOp::kGlobalUpdate;
     request.page = page;
     request.arg = value;
@@ -479,7 +479,7 @@ hsim::Task<void> KernelSystem::GlobalUpdate(hsim::Processor& p, std::uint64_t pa
 }
 
 hsim::Task<void> KernelSystem::NullRpc(hsim::Processor& p, std::uint32_t target_cluster) {
-  RpcRequest request;
+  RpcPacket request;
   request.op = RpcOp::kNull;
   co_await cpu(p.id()).Call(p, PeerOf(p.id(), target_cluster), &request);
 }
@@ -492,7 +492,7 @@ hsim::Task<void> KernelSystem::IdleLoop(hsim::Processor& p, const bool* stop) {
   }
 }
 
-hsim::Task<void> KernelSystem::HandleRpc(hsim::Processor& p, RpcRequest& request) {
+hsim::Task<void> KernelSystem::HandleRpc(hsim::Processor& p, RpcPacket& request) {
   switch (request.op) {
     case RpcOp::kNull:
       request.status = RpcStatus::kOk;
@@ -515,7 +515,7 @@ hsim::Task<void> KernelSystem::HandleRpc(hsim::Processor& p, RpcRequest& request
   }
 }
 
-hsim::Task<void> KernelSystem::HandleGetPage(hsim::Processor& p, RpcRequest& request) {
+hsim::Task<void> KernelSystem::HandleGetPage(hsim::Processor& p, RpcPacket& request) {
   // Runs in the page's home cluster.  This is the "no-spin" version of the
   // lookup: if the descriptor is exclusively reserved, fail with
   // kWouldDeadlock instead of spinning -- the initiator retries (Section 2.3).
@@ -557,7 +557,7 @@ hsim::Task<void> KernelSystem::HandleGetPage(hsim::Processor& p, RpcRequest& req
   request.status = RpcStatus::kOk;
 }
 
-hsim::Task<void> KernelSystem::HandleInvalidate(hsim::Processor& p, RpcRequest& request) {
+hsim::Task<void> KernelSystem::HandleInvalidate(hsim::Processor& p, RpcPacket& request) {
   // Runs in a replica-holding cluster.  No-spin: a reserve bit held by a
   // local fault in progress forces the unmapper to retry.
   ClusterKernel& c = cluster_of(p);
@@ -583,7 +583,7 @@ hsim::Task<void> KernelSystem::HandleInvalidate(hsim::Processor& p, RpcRequest& 
   request.status = RpcStatus::kOk;
 }
 
-hsim::Task<void> KernelSystem::HandleGlobalUpdate(hsim::Processor& p, RpcRequest& request) {
+hsim::Task<void> KernelSystem::HandleGlobalUpdate(hsim::Processor& p, RpcPacket& request) {
   ClusterKernel& c = cluster_of(p);
   co_await LockAcquire(p, c.lock());
   const DescRef ref = co_await c.table().Lookup(p, request.page);

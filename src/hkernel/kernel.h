@@ -171,11 +171,11 @@ class KernelSystem {
   hsim::Task<void> IdleLoop(hsim::Processor& p, const bool* stop);
 
   // --- RPC dispatch (invoked by CpuKernel) -------------------------------------
-  hsim::Task<void> HandleRpc(hsim::Processor& p, RpcRequest& request);
+  hsim::Task<void> HandleRpc(hsim::Processor& p, RpcPacket& request);
 
   // Auxiliary services (e.g. the process manager) register a handler for the
   // RPC operations the memory manager does not own.
-  using AuxHandler = std::function<hsim::Task<void>(hsim::Processor&, RpcRequest&)>;
+  using AuxHandler = std::function<hsim::Task<void>(hsim::Processor&, RpcPacket&)>;
   void set_aux_handler(AuxHandler handler) { aux_handler_ = std::move(handler); }
 
   // --- lock wrappers ------------------------------------------------------------
@@ -187,7 +187,7 @@ class KernelSystem {
   // Calls `target` and retries (with exponential backoff) while the handler
   // reports kWouldDeadlock -- the client half of the optimistic protocol,
   // shared by every kernel service.
-  hsim::Task<void> CallWithRetry(hsim::Processor& p, hsim::ProcId target, RpcRequest* request,
+  hsim::Task<void> CallWithRetry(hsim::Processor& p, hsim::ProcId target, RpcPacket* request,
                                  int* retries = nullptr);
 
   // Spins (gate open, servicing RPCs) until `reserve` is observed free.
@@ -275,9 +275,9 @@ class KernelSystem {
   }
 
  private:
-  hsim::Task<void> HandleGetPage(hsim::Processor& p, RpcRequest& request);
-  hsim::Task<void> HandleInvalidate(hsim::Processor& p, RpcRequest& request);
-  hsim::Task<void> HandleGlobalUpdate(hsim::Processor& p, RpcRequest& request);
+  hsim::Task<void> HandleGetPage(hsim::Processor& p, RpcPacket& request);
+  hsim::Task<void> HandleInvalidate(hsim::Processor& p, RpcPacket& request);
+  hsim::Task<void> HandleGlobalUpdate(hsim::Processor& p, RpcPacket& request);
 
   // Computes for `cycles`, taking interrupt points periodically (interrupts
   // are enabled whenever no coarse lock is held).

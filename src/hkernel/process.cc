@@ -108,7 +108,7 @@ ProcessManager::ProcessManager(KernelSystem* system, TreePolicy policy,
     clusters_.push_back(std::move(state));
   }
   system_->set_aux_handler(
-      [this](hsim::Processor& p, RpcRequest& request) { return HandleRpc(p, request); });
+      [this](hsim::Processor& p, RpcPacket& request) { return HandleRpc(p, request); });
 }
 
 ProcessManager::~ProcessManager() { system_->set_aux_handler(nullptr); }
@@ -147,7 +147,7 @@ hsim::Task<Pid> ProcessManager::Create(hsim::Processor& p, hsim::ProcId home_pro
     if (pc == c) {
       co_await AddChildLocal(p, pc, parent, pid);
     } else {
-      RpcRequest request;
+      RpcPacket request;
       request.op = RpcOp::kProcAddChild;
       request.page = parent;
       request.arg = pid;
@@ -265,7 +265,7 @@ hsim::Task<void> ProcessManager::Destroy(hsim::Processor& p, Pid pid) {
       assert(ok);
       (void)ok;
     } else {
-      RpcRequest request;
+      RpcPacket request;
       request.op = RpcOp::kProcUnlinkChild;
       request.page = parent;
       request.arg = pid;
@@ -292,7 +292,7 @@ hsim::Task<bool> ProcessManager::SendMessage(hsim::Processor& p, Pid to) {
     const DepositResult result = co_await DepositLocal(p, tc, to, /*may_wait=*/true);
     co_return result == DepositResult::kOk;
   }
-  RpcRequest request;
+  RpcPacket request;
   request.op = RpcOp::kProcDeposit;
   request.page = to;
   co_await system_->CallWithRetry(p, system_->PeerOf(p.id(), tc), &request);
@@ -349,7 +349,7 @@ hsim::Task<std::uint64_t> ProcessManager::ReadMailbox(hsim::Processor& p, Pid pi
   co_return count;
 }
 
-hsim::Task<void> ProcessManager::HandleRpc(hsim::Processor& p, RpcRequest& request) {
+hsim::Task<void> ProcessManager::HandleRpc(hsim::Processor& p, RpcPacket& request) {
   switch (request.op) {
     case RpcOp::kProcAddChild:
       co_await AddChildLocal(p, system_->cluster_of_proc(p.id()), request.page, request.arg);

@@ -135,7 +135,7 @@ class ProcessManager {
   }
 
   // RPC dispatch, called from KernelSystem::HandleRpc.
-  hsim::Task<void> HandleRpc(hsim::Processor& p, RpcRequest& request);
+  hsim::Task<void> HandleRpc(hsim::Processor& p, RpcPacket& request);
 
  private:
   struct ClusterState {

@@ -38,11 +38,7 @@ hflight::Fate FateOf(RpcStatus status) {
 hsim::Task<void> DeliverAfter(hsim::Engine* engine, hsim::Tick transit, CpuKernel* target,
                               RpcPacket packet) {
   co_await engine->Delay(transit);
-  if (packet.is_reply) {
-    target->DeliverReply(packet);
-  } else {
-    target->Deliver(packet);
-  }
+  target->Deliver(packet);
 }
 
 // Pooled wire buffer: the envelope was allocated from the packet pool at the
@@ -53,11 +49,7 @@ hsim::Task<void> DeliverAfterPooled(hsim::Engine* engine, hsim::Tick transit, Cp
                                     halloc::SlabAllocator<RpcPacket>* pool,
                                     hsim::ProcId target_proc, RpcPacket* env) {
   co_await engine->Delay(transit);
-  if (env->is_reply) {
-    target->DeliverReply(*env);
-  } else {
-    target->Deliver(*env);
-  }
+  target->Deliver(*env);
   pool->FreeFor(target_proc, env);
 }
 
@@ -95,39 +87,23 @@ void CpuKernel::SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPac
     }
   };
 
-  hsim::FaultPlan* plan = machine.fault_plan();
-  if (plan == nullptr) {
-    launch(cfg.rpc_transit);
-    return;
-  }
-  const hsim::FaultLeg leg = packet.is_reply ? hsim::FaultLeg::kReply : hsim::FaultLeg::kRequest;
-  const hsim::FaultPlan::Decision decision =
-      plan->Decide(leg, p.id(), target, static_cast<std::uint8_t>(packet.op), p.now());
+  const hsim::FaultPlan::Decision decision = hsim::RouteSend(
+      machine.fault_plan(), packet, p.id(), target, p.now(), cfg.rpc_transit, launch);
   if (machine.trace_enabled(hmetrics::kTraceRpc) && (decision.drop || decision.duplicate)) {
     machine.trace()->Instant(hmetrics::kTraceRpc,
                              decision.drop ? "rpc/fault_drop" : "rpc/fault_dup", p.id(),
                              p.now());
   }
-  if (decision.drop) {
-    return;
-  }
-  launch(cfg.rpc_transit + decision.extra_delay);
-  if (decision.duplicate) {
-    // A duplicate is its own wire buffer: two envelopes in flight.
-    launch(cfg.rpc_transit + decision.dup_extra_delay);
-  }
 }
 
-void CpuKernel::DeliverReply(const RpcPacket& packet) {
-  if (!call_active_ || pending_.done || packet.seq != pending_.seq) {
+void CpuKernel::Deliver(const RpcPacket& packet) {
+  if (!packet.is_reply) {
+    inbox_.push_back(packet);
+  } else if (!call_.Offer(packet)) {
     // A duplicate of a reply we already consumed, or a reply delayed past its
     // retransmit-satisfied call.  Exact-once: discard, count.
     ++system_->counters().rpc_dup_replies;
-    return;
   }
-  pending_.request->status = packet.status;
-  pending_.request->payload = packet.payload;
-  pending_.done = true;
 }
 
 hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket>* queue,
@@ -144,19 +120,21 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
     // completed, must not re-run the handler (exact-once).  For the last
     // completed request the cached reply is retransmitted -- the initiator is
     // still waiting iff the original reply was lost.
-    PeerState& src = peer(packet.src_proc);
-    if (packet.seq == src.in_progress || packet.seq <= src.last_completed) {
+    hsim::DedupWindow<RpcPacket>& window = peers_[packet.src_proc];
+    if (window.Admit(packet.seq) != hsim::Admission::kFresh) {
       ++system_->counters().rpc_dup_requests;
       co_await p.Compute(cfg.rpc_dispatch / 2);
-      if (packet.seq == src.last_completed && src.has_reply) {
+      // Asked again after the await: a co-located context may have completed
+      // a newer request from this source meanwhile (a refusal is stable, the
+      // resend verdict is not), and the resend carries the cache as it is then.
+      if (window.Admit(packet.seq) == hsim::Admission::kResend) {
         co_await p.Compute(cfg.rpc_reply);
-        SendPacket(p, packet.src_proc, src.cached_reply);
+        SendPacket(p, packet.src_proc, window.cached());
       }
       continue;
     }
 
     ++handled_;
-    src.in_progress = packet.seq;
     in_handler_ = true;
     hmetrics::TraceSession* tr =
         machine.trace_enabled(hmetrics::kTraceRpc) ? machine.trace() : nullptr;
@@ -178,30 +156,17 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
       frec->start = p.now();
       frec->exec = p.now();
     }
-    RpcRequest request;
-    request.op = packet.op;
-    request.page = packet.page;
-    request.arg = packet.arg;
-    request.src_proc = packet.src_proc;
-    request.src_cluster = packet.src_cluster;
     co_await p.Compute(cfg.rpc_dispatch);
-    co_await system_->HandleRpc(p, request);
+    co_await system_->HandleRpc(p, packet);
     co_await p.Compute(cfg.rpc_reply);
     in_handler_ = false;
-    assert(request.status != RpcStatus::kPending);
+    assert(packet.status != RpcStatus::kPending);
     ++system_->counters().rpc_ops_applied;
-    src.in_progress = 0;
-    src.last_completed = packet.seq;
-    src.cached_reply = RpcPacket{};
-    src.cached_reply.is_reply = true;
-    src.cached_reply.seq = packet.seq;
-    src.cached_reply.op = packet.op;
-    src.cached_reply.status = request.status;
-    src.cached_reply.payload = request.payload;
-    src.has_reply = true;
+    packet.is_reply = true;
+    window.Complete(packet.seq, packet);
     if (frec != nullptr) {
       frec->done = p.now();
-      flight->Close(frec, FateOf(request.status), p.now());
+      flight->Close(frec, FateOf(packet.status), p.now());
     }
     if (tr != nullptr) {
       tr->EndSpan(span, p.now());
@@ -209,7 +174,7 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
     // The reply travels back to the initiator through the (possibly faulty)
     // transport; if it is lost, the initiator's retransmit will hit the dedup
     // path above and resend the cached copy.
-    SendPacket(p, packet.src_proc, src.cached_reply);
+    SendPacket(p, packet.src_proc, packet);
   }
   if (batch > 0 && system_->rpc_batch_depth_hist() != nullptr) {
     system_->rpc_batch_depth_hist()->Record(batch);
@@ -250,31 +215,16 @@ hsim::Task<void> CpuKernel::IrqPoint(hsim::Processor& p) {
   }
 }
 
-hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcRequest* request) {
+hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcPacket* request) {
   assert(!masked() && "RPCs must not be issued while holding coarse locks");
   assert(target != id_ && "RPC to self would deadlock");
-  if (call_active_) {
-    // The one-deep dedup window at the target depends on stop-and-wait; a
-    // second in-flight call from this processor would break exact-once.
-    std::fprintf(stderr,
-                 "hkernel: overlapping CpuKernel::Call on processor %u (seq %llu still "
-                 "pending); the RPC protocol is stop-and-wait per processor\n",
-                 id_, static_cast<unsigned long long>(pending_.seq));
-    std::abort();
-  }
   const KernelConfig& cfg = system_->config();
+  request->seq = call_.Begin();
   request->status = RpcStatus::kPending;
   request->src_proc = id_;
   request->src_cluster = system_->cluster_of_proc(id_);
   ++system_->counters().rpcs;
 
-  RpcPacket packet;
-  packet.seq = ++next_seq_;
-  packet.op = request->op;
-  packet.page = request->page;
-  packet.arg = request->arg;
-  packet.src_proc = id_;
-  packet.src_cluster = request->src_cluster;
   // Caller-side flight record: the whole Call is one rpc-phase leg (the
   // pre-send stamps collapse to begin, so Finalize attributes the full span
   // to rpc).  The id and send instant travel on the wire for the child link.
@@ -286,13 +236,9 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
     frec->enqueue = frec->begin;
     frec->start = frec->begin;
     frec->exec = frec->begin;
-    packet.flight_id = frec->id;
-    packet.flight_send = p.now();
+    request->flight_id = frec->id;
+    request->flight_send = p.now();
   }
-  call_active_ = true;
-  pending_.seq = packet.seq;
-  pending_.request = request;
-  pending_.done = false;
 
   hsim::Machine& machine = system_->machine();
   hmetrics::TraceSession* tr =
@@ -305,7 +251,7 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
   }
 
   co_await p.Compute(cfg.rpc_send);
-  SendPacket(p, target, packet);
+  SendPacket(p, target, *request);
 
   // Wait for the reply.  The processor itself is a schedulable resource: keep
   // servicing our own incoming requests, otherwise two processors calling
@@ -314,28 +260,30 @@ hsim::Task<void> CpuKernel::Call(hsim::Processor& p, hsim::ProcId target, RpcReq
   // re-delivers its cached reply or is still working on the original.
   hsim::Tick timeout = cfg.rpc_timeout;
   hsim::Tick deadline = p.now() + timeout;
-  while (!pending_.done) {
+  while (!call_.done()) {
     co_await IrqPoint(p);
     co_await p.Compute(cfg.rpc_poll);
-    if (!pending_.done && p.now() >= deadline) {
+    if (!call_.done() && p.now() >= deadline) {
       ++system_->counters().rpc_retransmits;
       ++call_retransmits;
       if (tr != nullptr) {
         hmetrics::TraceSession::SpanId rspan =
             tr->BeginSpan(hmetrics::kTraceRpc, "rpc/retransmit", p.id(), p.now());
         tr->AddArg(rspan, "op", RpcOpName(request->op));
-        tr->AddArg(rspan, "seq", std::to_string(packet.seq));
+        tr->AddArg(rspan, "seq", std::to_string(request->seq));
         tr->EndSpan(rspan, p.now() + cfg.rpc_send);
       }
       co_await p.Compute(cfg.rpc_send);
-      SendPacket(p, target, packet);
+      SendPacket(p, target, *request);
       // Exponential backoff with jitter: synchronized losers must not
       // retransmit in lockstep into the same congested target.
       timeout = std::min<hsim::Tick>(timeout * 2, cfg.rpc_timeout_cap);
       deadline = p.now() + timeout / 2 + p.rng().NextBelow(timeout / 2 + 1);
     }
   }
-  call_active_ = false;
+  request->status = call_.reply().status;
+  request->payload = call_.reply().payload;
+  call_.Close();
   co_await p.Compute(cfg.rpc_recv);
   assert(request->status != RpcStatus::kPending);
   if (frec != nullptr) {

@@ -20,25 +20,12 @@
 // refusing to service requests while blocked is exactly the deadlock the
 // paper describes between processors P1 and P2.
 //
-// --- transport fault tolerance ---
-//
-// The transport may be adversarial (hsim::FaultPlan): requests and replies
-// can be dropped, duplicated, or delayed.  The protocol provides exact-once
-// application semantics on top of it:
-//
-//   - every Call carries a per-initiator sequence number; the wire carries
-//     self-contained RpcPacket copies, never pointers into the caller's frame;
-//   - the initiator runs a stop-and-wait timeout-and-retransmit loop (one
-//     outstanding RPC per processor -- enforced with a loud abort);
-//   - the target remembers, per source processor, the last completed sequence
-//     number and its cached reply: a retransmit or duplicate of a completed
-//     request is not re-applied, the cached reply is retransmitted instead;
-//   - stale replies (for an already-completed or superseded sequence number)
-//     are counted and discarded at the initiator.
-//
-// Stop-and-wait per initiator is what makes the one-deep dedup window sound:
-// the target can never receive sequence number n+1 from a source before that
-// source has observed the reply to n.
+// The transport may drop, duplicate or delay any leg (hsim::FaultPlan).
+// Exact-once application comes from the shared channel core
+// (src/hsim/exact_once.h): one CallSlot per processor, one DedupWindow per
+// source processor, RouteSend for every leg.  What is the kernel's own is the
+// wait step -- the initiator keeps servicing its inbox (IrqPoint) while it
+// polls for the reply -- and a jittered doubling retransmit timeout.
 
 #ifndef HKERNEL_RPC_H_
 #define HKERNEL_RPC_H_
@@ -49,6 +36,7 @@
 #include <vector>
 
 #include "src/hkernel/config.h"
+#include "src/hsim/exact_once.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/task.h"
 
@@ -92,24 +80,10 @@ enum class RpcStatus : std::uint8_t {
   kNotFound,       // the descriptor is gone; caller must re-establish state
 };
 
-// The handler-facing view of one RPC invocation.  Lives in the initiator's
-// frame on the caller side and on the handler's stack on the target side; it
-// never crosses the transport (RpcPacket does).
-struct RpcRequest {
-  RpcOp op = RpcOp::kNull;
-  std::uint64_t page = 0;
-  std::uint64_t arg = 0;
-  hsim::ProcId src_proc = 0;
-  std::uint32_t src_cluster = 0;
-
-  RpcStatus status = RpcStatus::kPending;
-  std::array<std::uint64_t, KernelConfig::kPayloadWords> payload{};
-};
-
-// The wire format: a self-contained copy of a request or reply.  The
-// transport owns packets in transit; duplication is a plain copy, and a
-// packet arriving after its call completed is simply discarded, so no
-// lifetime ties the wire to the initiator's frame.
+// One RPC invocation and its wire format: a self-contained value.  The
+// caller fills op/page/arg, the handler fills status/payload, and a reply is
+// a copy of the request with is_reply set.  The transport owns copies in
+// transit, so no lifetime ties the wire to the initiator's frame.
 struct RpcPacket {
   bool is_reply = false;
   std::uint64_t seq = 0;  // per-initiator, monotonically increasing from 1
@@ -130,11 +104,12 @@ struct RpcPacket {
 class KernelSystem;
 
 // Per-processor kernel state: the RPC inbox, the soft interrupt gate, the
-// deferred-work queue, and the transport-recovery state (sequence numbers,
-// per-source dedup, the pending-call slot).
+// deferred-work queue, and the channel state (the call slot and one dedup
+// window per source processor).
 class CpuKernel {
  public:
-  CpuKernel(KernelSystem* system, hsim::ProcId id) : system_(system), id_(id) {}
+  CpuKernel(KernelSystem* system, hsim::ProcId id, std::uint32_t num_procs)
+      : system_(system), id_(id), peers_(num_procs) {}
   CpuKernel(const CpuKernel&) = delete;
   CpuKernel& operator=(const CpuKernel&) = delete;
 
@@ -161,12 +136,10 @@ class CpuKernel {
   bool lock_path_busy() const { return lock_path_busy_; }
   void set_lock_path_busy(bool busy) { lock_path_busy_ = busy; }
 
-  // Delivery (called by the RPC transport at the interrupt instant).
-  void Deliver(const RpcPacket& packet) { inbox_.push_back(packet); }
-
-  // Reply delivery at the initiator: matches the pending call's sequence
-  // number; stale or duplicate replies are counted and discarded.
-  void DeliverReply(const RpcPacket& packet);
+  // Delivery (called by the RPC transport at the interrupt instant): a
+  // request joins the inbox; a reply is offered to the call slot, and a stale
+  // one is counted and discarded.
+  void Deliver(const RpcPacket& packet);
 
   // Services pending requests if the gate is open.  If the gate is closed,
   // requests are shunted (with the handler-entry cost) onto the deferred
@@ -174,10 +147,11 @@ class CpuKernel {
   hsim::Task<void> IrqPoint(hsim::Processor& p);
 
   // Sends `request` to `target` and waits for the reply, servicing our own
-  // incoming requests while waiting and retransmitting on timeout.  Must be
+  // incoming requests while waiting and retransmitting on timeout; the
+  // reply's status and payload are copied back into `request`.  Must be
   // called with the gate open and no coarse locks held.  Stop-and-wait: a
   // processor has at most one outstanding call (enforced).
-  hsim::Task<void> Call(hsim::Processor& p, hsim::ProcId target, RpcRequest* request);
+  hsim::Task<void> Call(hsim::Processor& p, hsim::ProcId target, RpcPacket* request);
 
   // --- statistics -------------------------------------------------------------
   std::uint64_t handled() const { return handled_; }
@@ -189,32 +163,11 @@ class CpuKernel {
   std::size_t backlog() const { return inbox_.size() + deferred_.size(); }
 
  private:
-  // Per-source dedup window.  Sound because initiators are stop-and-wait.
-  struct PeerState {
-    std::uint64_t last_completed = 0;  // highest seq applied for this source
-    std::uint64_t in_progress = 0;     // seq currently inside a handler (0 = none)
-    bool has_reply = false;
-    RpcPacket cached_reply;            // reply to last_completed, for retransmits
-  };
-
-  struct PendingCall {
-    std::uint64_t seq = 0;
-    RpcRequest* request = nullptr;
-    bool done = false;
-  };
-
   hsim::Task<void> RunHandlers(hsim::Processor& p, std::deque<RpcPacket>* queue, int budget);
 
   // Hands a packet to the transport: consults the machine's fault plan and
   // spawns the (possibly dropped/duplicated/delayed) delivery task(s).
   void SendPacket(hsim::Processor& p, hsim::ProcId target, const RpcPacket& packet);
-
-  PeerState& peer(hsim::ProcId src) {
-    if (peers_.size() <= src) {
-      peers_.resize(src + 1);
-    }
-    return peers_[src];
-  }
 
   KernelSystem* system_;
   hsim::ProcId id_;
@@ -225,10 +178,8 @@ class CpuKernel {
   std::deque<RpcPacket> deferred_;
   std::uint64_t handled_ = 0;
   std::uint64_t deferred_total_ = 0;
-  std::uint64_t next_seq_ = 0;
-  PendingCall pending_;
-  bool call_active_ = false;
-  std::vector<PeerState> peers_;
+  hsim::CallSlot<RpcPacket> call_;
+  std::vector<hsim::DedupWindow<RpcPacket>> peers_;  // by source processor
 };
 
 }  // namespace hkernel

@@ -97,7 +97,7 @@ class NativeBackend {
   Ready<void> Exec(Ctx&, std::uint32_t /*registers*/, std::uint32_t /*branches*/) {
     return {};  // instruction costing is a simulator concern
   }
-  SpinWait MakeSpinWait() { return SpinWait{}; }
+  SpinWait MakeSpinWait() { return SpinWait{typename Platform::Backoff()}; }
   // One local-spin pacing step: exactly one Platform::Backoff round, which
   // under hcheck is exactly one Yield -- the same schedule-point shape the
   // hand-written locks had, so existing model-checking results carry over.

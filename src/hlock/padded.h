@@ -6,16 +6,11 @@
 #define HLOCK_PADDED_H_
 
 #include <cstddef>
-#include <new>
 #include <utility>
 
 namespace hlock {
 
-#ifdef __cpp_lib_hardware_interference_size
-inline constexpr std::size_t kCacheLineSize = std::hardware_destructive_interference_size;
-#else
 inline constexpr std::size_t kCacheLineSize = 64;
-#endif
 
 // A T alone on its own cache line(s).
 template <typename T>

@@ -72,8 +72,8 @@ void Mesh::Start() {
 void Mesh::Shutdown() { stopped_ = true; }
 
 bool Mesh::Quiescent() const {
-  for (const Channel& ch : channels_) {
-    if (ch.busy) {
+  for (const hsim::CallSlot<MeshPacket>& ch : channels_) {
+    if (ch.open()) {
       return false;
     }
   }
@@ -111,24 +111,8 @@ bool Mesh::HoldsLocally(std::uint32_t m, std::uint64_t key) const {
 
 void Mesh::SendPacket(const MeshPacket& packet, Tick now) {
   ++traffic_[packet.src * config_.machines + packet.dst];
-  Tick extra = 0;
-  bool duplicate = false;
-  Tick dup_extra = 0;
-  if (fault_plan_ != nullptr) {
-    const hsim::FaultPlan::Decision d = fault_plan_->Decide(
-        packet.is_reply ? hsim::FaultLeg::kReply : hsim::FaultLeg::kRequest, packet.src,
-        packet.dst, static_cast<std::uint8_t>(packet.op), now);
-    if (d.drop) {
-      return;
-    }
-    extra = d.extra_delay;
-    duplicate = d.duplicate;
-    dup_extra = d.dup_extra_delay;
-  }
-  engine_->Spawn(DeliverAfter(packet, config_.net_transit + extra));
-  if (duplicate) {
-    engine_->Spawn(DeliverAfter(packet, config_.net_transit + dup_extra));
-  }
+  hsim::RouteSend(fault_plan_.get(), packet, packet.src, packet.dst, now, config_.net_transit,
+                  [&](Tick delay) { engine_->Spawn(DeliverAfter(packet, delay)); });
 }
 
 hsim::Task<void> Mesh::DeliverAfter(MeshPacket packet, Tick delay) {
@@ -141,24 +125,15 @@ void Mesh::DeliverNow(const MeshPacket& packet) {
     // Replies route straight to the initiating channel; the channel id names
     // the source machine, whose death voids all its pending calls.
     const std::uint32_t src_machine = packet.channel / config_.lanes;
-    if (nodes_[src_machine]->state == NodeState::kDown) {
-      ++discarded_to_down_;
-      return;
-    }
-    Channel& ch = channels_[packet.channel];
-    if (ch.busy && ch.pending_seq == packet.seq && !ch.reply_ready) {
-      ch.reply = packet;
-      ch.reply_ready = true;
-    } else {
+    if (nodes_[src_machine]->state != NodeState::kDown &&
+        !channels_[packet.channel].Offer(packet)) {
       ++stale_replies_;
     }
     return;
   }
-  if (nodes_[packet.dst]->state == NodeState::kDown) {
-    ++discarded_to_down_;
-    return;
+  if (nodes_[packet.dst]->state != NodeState::kDown) {
+    nodes_[packet.dst]->inbox.push_back(packet);
   }
-  nodes_[packet.dst]->inbox.push_back(packet);
 }
 
 hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::uint32_t lane,
@@ -166,16 +141,12 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
                                    hflight::FlightRecord* rec) {
   Node& node = *nodes_[src];
   const std::uint64_t inc = node.incarnation;
-  Channel& ch = channels_[src * config_.lanes + lane];
-  assert(!ch.busy && "lane handed to two concurrent calls");
-  ch.busy = true;
+  hsim::CallSlot<MeshPacket>& ch = channels_[src * config_.lanes + lane];
   packet.is_reply = false;
   packet.channel = src * config_.lanes + lane;
-  packet.seq = ++ch.next_seq;
+  packet.seq = ch.Begin();
   packet.src = src;
   packet.dst = dst;
-  ch.pending_seq = packet.seq;
-  ch.reply_ready = false;
 
   CallOutcome out;
   std::uint32_t retransmits = 0;
@@ -193,7 +164,7 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   ++node.counters.rpcs_out;
   SendPacket(packet, p.now());
   Tick deadline = p.now() + timeout;
-  while (!ch.reply_ready) {
+  while (!ch.done()) {
     co_await p.BackoffDelay(config_.net_poll);
     if (node.incarnation != inc) {
       co_return out;  // crashed mid-call; channel was reset by Kill
@@ -202,7 +173,7 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
       // Failover committed: the destination is gone for good (a partitioned
       // but live machine stays in the ring and we keep retransmitting).
       ++node.counters.unavailable;
-      ch.busy = false;
+      ch.Close();
       out.status = MeshStatus::kUnavailable;
       co_return out;
     }
@@ -227,15 +198,15 @@ hsim::Task<CallOutcome> Mesh::Call(hsim::Processor& p, std::uint32_t src, std::u
   if (node.incarnation != inc) {
     co_return out;
   }
-  out.status = ch.reply.status;
-  out.value = ch.reply.value;
-  out.version = ch.reply.version;
-  out.sync = std::move(ch.reply.sync);
+  out.status = ch.reply().status;
+  out.value = ch.reply().value;
+  out.version = ch.reply().version;
+  out.sync = std::move(ch.reply().sync);
   out.retransmits = retransmits;
   if (rec != nullptr) {
     rec->AddRpc(p.now() - call_begin, retransmits);
   }
-  ch.busy = false;
+  ch.Close();
   co_return out;
 }
 
@@ -318,20 +289,15 @@ hsim::Task<void> Mesh::ServerLoop(std::uint32_t m, std::uint64_t inc) {
     }
     MeshPacket packet = node.inbox.front();
     node.inbox.pop_front();
-    SrcWindow& w = node.windows[packet.channel];
-    if (packet.seq <= w.last_completed) {
+    hsim::DedupWindow<MeshPacket>& w = node.windows[packet.channel];
+    const hsim::Admission admission = w.Admit(packet.seq);
+    if (admission != hsim::Admission::kFresh) {
       ++node.counters.dup_requests;
-      if (packet.seq == w.last_completed && w.has_cached) {
-        MeshPacket resend = w.cached_reply;
-        SendPacket(resend, p.now());
+      if (admission == hsim::Admission::kResend) {
+        SendPacket(w.cached(), p.now());
       }
       continue;
     }
-    if (packet.seq == w.active) {
-      ++node.counters.dup_requests;  // retransmit of the op we are executing
-      continue;
-    }
-    w.active = packet.seq;
     if (packet.op == MeshOp::kPut) {
       // Puts broadcast to replicas and must not block the inbox (two owners
       // updating each other's replicas would deadlock their server loops).
@@ -350,10 +316,7 @@ void Mesh::CompleteRequest(Node& node, const MeshPacket& request, MeshPacket rep
   reply.op = request.op;
   reply.src = request.dst;
   reply.dst = request.src;
-  SrcWindow& w = node.windows[request.channel];
-  w.last_completed = request.seq;
-  w.cached_reply = reply;
-  w.has_cached = true;
+  node.windows[request.channel].Complete(request.seq, reply);
   SendPacket(reply, now);
 }
 
@@ -770,18 +733,12 @@ void Mesh::Kill(std::uint32_t m) {
   node.applied_fifo.clear();
   node.inbox.clear();
   node.write_busy.clear();
-  for (SrcWindow& w : node.windows) {
-    w = SrcWindow{};
-  }
-  // Reset the node's outbound channels but keep each lane's sequence counter:
-  // seq numbers name the transport endpoint, not the incarnation, so stale
-  // replies from the previous life can never match a post-recovery call.
+  node.windows.assign(node.windows.size(), {});
+  // Void the node's outbound calls; each lane keeps its sequence counter, so
+  // stale replies from the previous life can never match a post-recovery call.
   node.free_lanes.clear();
   for (std::uint32_t lane = config_.lanes; lane-- > 0;) {
-    Channel& ch = channels_[m * config_.lanes + lane];
-    const std::uint64_t seq = ch.next_seq;
-    ch = Channel{};
-    ch.next_seq = seq;
+    channels_[m * config_.lanes + lane].Close();
     node.free_lanes.push_back(lane);
   }
   node.timeline.killed_at = engine_->now();

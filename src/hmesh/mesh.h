@@ -11,13 +11,14 @@
 // that keeps retried writes exactly-once across an owner crash (see below).
 //
 // Transport.  Machines exchange host-side MeshPackets over a latency-only
-// interconnect (net_transit ticks each way) with the PR-3 exact-once
-// discipline rebuilt at mesh scope: per-lane stop-and-wait channels with
-// monotonic sequence numbers, jittered-doubling timeout retransmit, per-source
-// dedup windows with cached-reply resend, and stale-reply discard.  Every leg
-// consults the mesh's own hsim::FaultPlan with *machine ids* as the node ids,
-// so FaultPlan::PartitionNode partitions a whole machine and chaos scenarios
-// need no per-link plumbing.
+// interconnect (net_transit ticks each way) on the shared exact-once channel
+// core (src/hsim/exact_once.h): one CallSlot per outbound lane, one
+// DedupWindow per sending lane at each receiver.  Every leg consults the
+// mesh's own hsim::FaultPlan with *machine ids* as the node ids, so
+// FaultPlan::PartitionNode partitions a whole machine and chaos scenarios
+// need no per-link plumbing.  The mesh's own retransmit policy: a jittered
+// doubling timeout, suspicion after suspect_after consecutive timeouts, and
+// abandoning a call once its destination leaves the ring.
 //
 // Membership.  A host-side directory (standing in for an external consensus
 // service; the engine is single-threaded so it is trivially linearizable)
@@ -59,6 +60,7 @@
 
 #include "src/hmesh/ring.h"
 #include "src/hsim/engine.h"
+#include "src/hsim/exact_once.h"
 #include "src/hsim/fault.h"
 #include "src/hsim/machine.h"
 #include "src/hsim/resource.h"
@@ -308,23 +310,6 @@ class Mesh {
   hflight::FlightRecorder* flight() { return flight_; }
 
  private:
-  friend struct MeshTestPeer;
-
-  struct Channel {
-    bool busy = false;
-    std::uint64_t next_seq = 0;
-    std::uint64_t pending_seq = 0;
-    bool reply_ready = false;
-    MeshPacket reply;
-  };
-
-  struct SrcWindow {
-    std::uint64_t last_completed = 0;
-    std::uint64_t active = 0;  // seq currently executing (retransmits discard)
-    bool has_cached = false;
-    MeshPacket cached_reply;
-  };
-
   // One applied client op, remembered for put dedup.  Keyed by op id in a
   // per-node table so a later write to the same key cannot erase the record
   // (the single writer_op slot in Entry is a per-key convenience, not the
@@ -345,7 +330,7 @@ class Mesh {
     std::map<std::uint64_t, AppliedOp> applied_ops;  // op id -> dedup record
     std::deque<std::uint64_t> applied_fifo;          // insertion order: eviction
     std::deque<MeshPacket> inbox;
-    std::vector<SrcWindow> windows;        // by sender channel id
+    std::vector<hsim::DedupWindow<MeshPacket>> windows;  // by sender channel id
     std::set<std::uint64_t> write_busy;    // keys with a put in flight
     std::vector<std::uint32_t> free_lanes;
     NodeCounters counters;
@@ -403,10 +388,9 @@ class Mesh {
   std::uint64_t failovers_ = 0;
   std::uint64_t resyncs_ = 0;
   std::uint64_t stale_replies_ = 0;
-  std::uint64_t discarded_to_down_ = 0;
   bool stopped_ = false;
   std::vector<std::unique_ptr<Node>> nodes_;
-  std::vector<Channel> channels_;          // machines x lanes
+  std::vector<hsim::CallSlot<MeshPacket>> channels_;  // machines x lanes
   std::vector<std::uint64_t> traffic_;     // machines x machines send counts
   std::map<std::uint64_t, std::vector<std::uint64_t>> op_versions_;
   std::unique_ptr<hsim::FaultPlan> fault_plan_;

@@ -184,5 +184,32 @@ TEST(RpcTest, RpcToBusyProcessorWaitsForInterruptPoint) {
   EXPECT_GE(reply_at, kBusy);
 }
 
+TEST(RpcTest, DryPacketPoolFallsBackToByValueDelivery) {
+  // Every envelope is taken before the call, so both legs travel by value:
+  // the fallback is counted and the handler still runs exactly once.
+  Rig rig(4);
+  rig.IdleAllExcept({0});
+  // The pool is per cluster: drain it through one processor of each.
+  halloc::SlabAllocator<RpcPacket>& pool = rig.system.packet_pool();
+  std::vector<std::pair<hsim::ProcId, RpcPacket*>> held;
+  for (hsim::ProcId p = 0; p < rig.machine.num_processors(); p += 4) {
+    while (RpcPacket* env = pool.AllocFor(p)) {
+      held.emplace_back(p, env);
+    }
+  }
+  ASSERT_EQ(held.size(), pool.capacity());
+  rig.engine.Spawn([](Rig* r) -> hsim::Task<void> {
+    co_await r->system.NullRpc(r->machine.processor(0), 1);
+    r->stop = true;
+  }(&rig));
+  rig.engine.RunUntilIdle();
+  EXPECT_EQ(rig.system.counters().rpc_pool_fallbacks, 2u);  // request and reply
+  EXPECT_EQ(rig.system.counters().rpc_ops_applied, 1u);
+  EXPECT_EQ(rig.system.cpu(rig.system.PeerOf(0, 1)).handled(), 1u);
+  for (const auto& [p, env] : held) {
+    pool.FreeFor(p, env);
+  }
+}
+
 }  // namespace
 }  // namespace hkernel

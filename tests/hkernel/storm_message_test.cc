@@ -56,7 +56,7 @@ TEST(StormMessageTest, LiveStormEmitsMachineIdOnce) {
   // one full storm, then recovery.
   int refusals_left = config.rpc_storm_threshold;
   system.set_aux_handler(
-      [&refusals_left](hsim::Processor&, RpcRequest& request) -> hsim::Task<void> {
+      [&refusals_left](hsim::Processor&, RpcPacket& request) -> hsim::Task<void> {
         request.status =
             refusals_left-- > 0 ? RpcStatus::kWouldDeadlock : RpcStatus::kOk;
         co_return;
@@ -68,7 +68,7 @@ TEST(StormMessageTest, LiveStormEmitsMachineIdOnce) {
   }
   engine.Spawn([](KernelSystem* sys, hsim::Machine* m, bool* stop_flag) -> hsim::Task<void> {
     hsim::Processor& p = m->processor(0);
-    RpcRequest request;
+    RpcPacket request;
     request.op = RpcOp::kProcDeposit;
     co_await sys->CallWithRetry(p, sys->PeerOf(p.id(), /*target_cluster=*/1), &request);
     EXPECT_EQ(request.status, RpcStatus::kOk);
