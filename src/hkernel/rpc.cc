@@ -181,11 +181,9 @@ hsim::Task<void> CpuKernel::RunHandlers(hsim::Processor& p, std::deque<RpcPacket
   }
 }
 
-hsim::Task<void> CpuKernel::IrqPoint(hsim::Processor& p) {
-  if (in_handler_) {
-    // Handlers are not re-entered; nested work waits for the outer handler.
-    co_return;
-  }
+hsim::Task<void> CpuKernel::TakeInterrupts(hsim::Processor& p) {
+  // IrqPoint came here only outside a handler: handlers are not re-entered,
+  // so nested work waits for the outer handler.
   if (masked()) {
     // The gate is closed: take the interrupts but defer the work, exactly as
     // the paper's per-processor work queue does.  The handler-entry cost is

@@ -143,8 +143,15 @@ class CpuKernel {
 
   // Services pending requests if the gate is open.  If the gate is closed,
   // requests are shunted (with the handler-entry cost) onto the deferred
-  // queue, mirroring the paper's mechanism.
-  hsim::Task<void> IrqPoint(hsim::Processor& p);
+  // queue, mirroring the paper's mechanism.  Nearly every call finds nothing
+  // to take; it then returns an empty Task, ready at once, and builds no
+  // coroutine frame.
+  hsim::Task<void> IrqPoint(hsim::Processor& p) {
+    if (in_handler_ || (inbox_.empty() && (masked() || deferred_.empty()))) {
+      return {};
+    }
+    return TakeInterrupts(p);
+  }
 
   // Sends `request` to `target` and waits for the reply, servicing our own
   // incoming requests while waiting and retransmitting on timeout; the
@@ -163,6 +170,8 @@ class CpuKernel {
   std::size_t backlog() const { return inbox_.size() + deferred_.size(); }
 
  private:
+  // IrqPoint's work when there is some.
+  hsim::Task<void> TakeInterrupts(hsim::Processor& p);
   hsim::Task<void> RunHandlers(hsim::Processor& p, std::deque<RpcPacket>* queue, int budget);
 
   // Hands a packet to the transport: consults the machine's fault plan and

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -35,7 +37,8 @@ Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
     : engine_(engine), config_(config), ring_(config.vnodes, config.seed) {
   nodes_.reserve(config_.machines);
   for (std::uint32_t m = 0; m < config_.machines; ++m) {
-    auto node = std::make_unique<Node>();
+    auto node = std::make_unique<Node>(config_.dedup_window);
+    node->store.resize(config_.keys());
     node->machine = std::make_unique<hsim::Machine>(engine_, config_.member);
     node->store_service = std::make_unique<hsim::Resource>(
         engine_, "mesh.store" + std::to_string(m));
@@ -50,6 +53,7 @@ Mesh::Mesh(hsim::Engine* engine, const MeshConfig& config)
     nodes_.push_back(std::move(node));
     ring_.AddMachine(m);
   }
+  RebuildHolders();
   channels_.resize(config_.machines * config_.lanes);
   traffic_.assign(std::size_t{config_.machines} * config_.machines, 0);
 }
@@ -60,8 +64,10 @@ void Mesh::Start() {
   // Seed every key on its holders directly (the preload is host-side setup,
   // not measured traffic): version 1, writer op 0 (excluded from the ledger).
   for (std::uint64_t key = 0; key < config_.keys(); ++key) {
-    for (std::uint32_t m : HoldersOf(key)) {
-      nodes_[m]->store[key] = Entry{key * 7 + 1, 1, 0};
+    for (std::uint32_t m : holders_->Of(key)) {
+      Slot& slot = nodes_[m]->store[key];
+      slot.entry = Entry{key * 7 + 1, 1, 0};
+      slot.present = true;
     }
   }
   for (std::uint32_t m = 0; m < config_.machines; ++m) {
@@ -78,7 +84,7 @@ bool Mesh::Quiescent() const {
     }
   }
   for (const auto& node : nodes_) {
-    if (!node->inbox.empty() || !node->write_busy.empty()) {
+    if (!node->inbox.empty() || node->writes_in_flight != 0) {
       return false;
     }
   }
@@ -87,23 +93,52 @@ bool Mesh::Quiescent() const {
 
 // --- routing ------------------------------------------------------------------
 
-std::vector<std::uint32_t> Mesh::HoldersOf(std::uint64_t key) const {
+std::uint32_t Mesh::HolderCount(std::uint64_t key) const {
   const bool hot = key / config_.machines < config_.hot_ranks;
-  return ring_.ReplicaSet(key, hot ? static_cast<std::uint32_t>(ring_.num_machines())
-                                   : config_.replicas);
+  return hot ? static_cast<std::uint32_t>(ring_.num_machines()) : config_.replicas;
+}
+
+std::vector<std::uint32_t> Mesh::HoldersOf(std::uint64_t key) const {
+  return ring_.ReplicaSet(key, HolderCount(key));
+}
+
+void Mesh::CheckKey(std::uint64_t key) const {
+  if (key >= config_.keys()) {
+    std::fprintf(stderr, "hmesh: key %llu is outside the keyspace [0, %llu)\n",
+                 static_cast<unsigned long long>(key),
+                 static_cast<unsigned long long>(config_.keys()));
+    std::abort();
+  }
+}
+
+void Mesh::RebuildHolders() {
+  auto table = std::make_shared<HolderTable>();
+  table->stride = config_.machines;
+  table->count.resize(config_.keys());
+  table->machines.resize(config_.keys() * table->stride);
+  for (std::uint64_t key = 0; key < config_.keys(); ++key) {
+    table->count[key] = static_cast<std::uint32_t>(ring_.ReplicaSetInto(
+        key, HolderCount(key), table->machines.data() + key * table->stride));
+  }
+  holders_ = std::move(table);
+}
+
+void Mesh::RingChanged() {
+  ++epoch_;
+  RebuildHolders();
 }
 
 bool Mesh::HoldsLocally(std::uint32_t m, std::uint64_t key) const {
-  if (nodes_[m]->state != NodeState::kUp || !ring_.Contains(m)) {
-    return false;
-  }
+  CheckKey(key);
+  const Node& node = *nodes_[m];
   // Policy membership is not possession: after a failover the ring can make
   // this machine a *new* replica for a key whose data it has never received
   // (it only catches up on the next write).  Local reads require the data.
-  if (nodes_[m]->store.count(key) == 0) {
+  if (node.state != NodeState::kUp || !node.store[key].present) {
     return false;
   }
-  const std::vector<std::uint32_t> holders = HoldersOf(key);
+  // Holders are ring members, so this also answers "is m in the ring".
+  const std::span<const std::uint32_t> holders = holders_->Of(key);
   return std::find(holders.begin(), holders.end(), m) != holders.end();
 }
 
@@ -251,7 +286,9 @@ hsim::Task<void> Mesh::StoreService(hsim::Processor& p, std::uint32_t m, std::ui
 
 void Mesh::ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value,
                       std::uint64_t version, std::uint64_t op_id, bool log) {
-  node.store[key] = Entry{value, version, op_id};
+  Slot& slot = SlotOf(node, key);
+  slot.entry = Entry{value, version, op_id};
+  slot.present = true;
   RecordAppliedOp(node, op_id, key, value, version);
   if (log && op_id != 0) {
     std::vector<std::uint64_t>& versions = op_versions_[op_id];
@@ -261,20 +298,18 @@ void Mesh::ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value,
   }
 }
 
+void Mesh::EndWrite(Node& node, std::uint64_t key) {
+  node.store[key].write_busy = false;
+  --node.writes_in_flight;
+}
+
 void Mesh::RecordAppliedOp(Node& node, std::uint64_t op_id, std::uint64_t key,
                            std::uint64_t value, std::uint64_t version) {
   if (op_id == 0) {
     return;  // preload / resync of seeded entries: nothing to dedup against
   }
-  const auto [it, inserted] = node.applied_ops.emplace(op_id, AppliedOp{key, value, version});
-  if (!inserted) {
-    return;  // version-gated repairs re-apply known ops; keep the original record
-  }
-  node.applied_fifo.push_back(op_id);
-  while (node.applied_fifo.size() > config_.dedup_window) {
-    node.applied_ops.erase(node.applied_fifo.front());
-    node.applied_fifo.pop_front();
-  }
+  // A known op keeps its original record: version-gated repairs re-apply it.
+  node.applied_ops.Insert(AppliedOps::Record{op_id, key, value, version});
 }
 
 // --- server -------------------------------------------------------------------
@@ -344,8 +379,8 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       if (node.incarnation != inc) {
         co_return;
       }
-      const auto it = node.store.find(packet.key);
-      if (it == node.store.end()) {
+      const Slot& slot = SlotOf(node, packet.key);
+      if (!slot.present) {
         // An up owner stores every key it serves (seeded at Start, restored
         // by resync); a miss here is data loss.  Surface it -- a fabricated
         // value=0/version=0 would read as a legitimate stored zero.
@@ -357,8 +392,8 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       ++node.counters.gets_served;
       reply.status = MeshStatus::kOk;
       reply.key = packet.key;
-      reply.value = it->second.value;
-      reply.version = it->second.version;
+      reply.value = slot.entry.value;
+      reply.version = slot.entry.version;
       break;
     }
     case MeshOp::kUpdate: {
@@ -366,8 +401,9 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       if (node.incarnation != inc) {
         co_return;
       }
-      Entry& e = node.store[packet.key];
-      if (packet.version > e.version) {
+      Slot& slot = SlotOf(node, packet.key);
+      slot.present = true;  // an update creates the entry it gates against
+      if (packet.version > slot.entry.version) {
         ApplyEntry(node, packet.key, packet.value, packet.version, packet.op_id,
                    /*log=*/true);
         ++node.counters.updates_applied;
@@ -384,13 +420,15 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
       // so the initial pull at cursor 0 includes key 0), up to a batch: the
       // recovering peer applies version-gated, so over-serving is harmless.
       reply.status = MeshStatus::kOk;
-      auto it = node.store.lower_bound(packet.cursor);
       Tick service = 0;
-      while (it != node.store.end() && reply.sync.size() < config_.sync_batch) {
-        reply.sync.push_back(
-            SyncEntry{it->first, it->second.value, it->second.version, it->second.writer_op});
-        service += config_.sync_entry_service;
-        ++it;
+      for (std::uint64_t key = packet.cursor;
+           key < node.store.size() && reply.sync.size() < config_.sync_batch; ++key) {
+        const Slot& slot = node.store[key];
+        if (slot.present) {
+          reply.sync.push_back(
+              SyncEntry{key, slot.entry.value, slot.entry.version, slot.entry.writer_op});
+          service += config_.sync_entry_service;
+        }
       }
       if (!reply.sync.empty()) {
         co_await StoreService(p, m, reply.sync.back().key, service);
@@ -405,16 +443,22 @@ hsim::Task<void> Mesh::HandleInline(hsim::Processor& p, std::uint32_t m, std::ui
     case MeshOp::kSyncOps: {
       // Same cursor discipline over the dedup table: op id -> record, so a
       // rejoined owner recognises retries of puts it never saw (the store's
-      // per-key writer_op only carries the *last* writer of each key).
+      // per-key writer_op only carries the *last* writer of each key).  The
+      // table is in insertion order, so the batch is sorted out of it here:
+      // only recovery asks, for at most dedup_window records.
       reply.status = MeshStatus::kOk;
-      auto it = node.applied_ops.lower_bound(packet.cursor);
-      Tick service = 0;
-      while (it != node.applied_ops.end() && reply.sync.size() < config_.sync_batch) {
-        reply.sync.push_back(
-            SyncEntry{it->second.key, it->second.value, it->second.version, it->first});
-        service += config_.sync_entry_service;
-        ++it;
-      }
+      node.applied_ops.ForEach([&](const AppliedOps::Record& r) {
+        if (r.op_id >= packet.cursor) {
+          reply.sync.push_back(SyncEntry{r.key, r.value, r.version, r.op_id});
+        }
+      });
+      const std::size_t n = std::min<std::size_t>(reply.sync.size(), config_.sync_batch);
+      std::partial_sort(reply.sync.begin(), reply.sync.begin() + n, reply.sync.end(),
+                        [](const SyncEntry& a, const SyncEntry& b) {
+                          return a.writer_op < b.writer_op;
+                        });
+      reply.sync.resize(n);
+      const Tick service = n * config_.sync_entry_service;
       if (!reply.sync.empty()) {
         co_await StoreService(p, m, reply.sync.back().key, service);
         if (node.incarnation != inc) {
@@ -478,15 +522,16 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   Node& node = *nodes_[m];
   PutResult result;
   // Serialize writers per key: versions are assigned under this flag.
-  while (node.write_busy.count(key) != 0) {
+  while (SlotOf(node, key).write_busy) {
     co_await p.BackoffDelay(config_.net_poll);
     if (node.incarnation != inc) {
       co_return result;
     }
   }
-  node.write_busy.insert(key);
-  const auto dedup_it = op_id != 0 ? node.applied_ops.find(op_id) : node.applied_ops.end();
-  if (dedup_it != node.applied_ops.end()) {
+  SlotOf(node, key).write_busy = true;
+  ++node.writes_in_flight;
+  const AppliedOps::Record* dedup = op_id != 0 ? node.applied_ops.Find(op_id) : nullptr;
+  if (dedup != nullptr) {
     // A retry of an op this node already applied: the original owner died
     // after replicating here but before acking the client.  The record lives
     // in the per-node applied-op table, not the store's per-key writer slot
@@ -496,9 +541,11 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
     // we repair -- re-broadcast the recorded version (idempotent: every
     // replica applies version-gated).  Dedup hits only happen on
     // owner-failover retries, so the repair traffic is off the hot path.
-    const AppliedOp recorded = dedup_it->second;  // copy: the table can move under awaits
+    const AppliedOps::Record recorded = *dedup;  // copy: the table can move under awaits
     ++node.counters.put_dedups;
-    for (std::uint32_t t : HoldersOf(key)) {
+    // Holds the table: the loop walks the holders it started with.
+    const std::shared_ptr<const HolderTable> table = holders_;
+    for (std::uint32_t t : table->Of(key)) {
       if (t == m) {
         continue;
       }
@@ -518,20 +565,19 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
       }
       ReleaseLane(m, lane);
     }
-    node.write_busy.erase(key);
+    EndWrite(node, key);
     result.status = MeshStatus::kOk;
     result.version = recorded.version;
     co_return result;
   }
-  const auto cur_it = node.store.find(key);
-  const std::uint64_t version =
-      (cur_it != node.store.end() ? cur_it->second.version : 0) + 1;
+  const Slot& cur = SlotOf(node, key);
+  const std::uint64_t version = (cur.present ? cur.entry.version : 0) + 1;
 
   // Broadcast before the local apply, failover owner strictly first: if this
   // machine dies anywhere in here, either no replica has the op (it is as if
   // it never ran) or the failover owner does (the retry dedups there) --
   // never a state where the op must re-execute after a replica applied it.
-  const std::vector<std::uint32_t> holders = HoldersOf(key);
+  const std::shared_ptr<const HolderTable> table = holders_;
   // Shared fan-out state: heap-owned so spawned subtasks can finish safely
   // even if this frame returns early on a crash of machine m.
   struct Fanout {
@@ -540,7 +586,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   };
   auto fan = std::make_shared<Fanout>();
   bool first = true;
-  for (std::uint32_t t : holders) {
+  for (std::uint32_t t : table->Of(key)) {
     if (t == m) {
       continue;
     }
@@ -599,7 +645,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
   }
   ApplyEntry(node, key, value, version, op_id, /*log=*/true);
   ++node.counters.puts_served;
-  node.write_busy.erase(key);
+  EndWrite(node, key);
   result.status = MeshStatus::kOk;
   result.version = version;
   co_return result;
@@ -610,6 +656,7 @@ hsim::Task<PutResult> Mesh::ApplyPut(hsim::Processor& p, std::uint32_t m, std::u
 hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
                                         std::uint64_t key, std::uint64_t* value,
                                         bool* served_locally, hflight::FlightRecord* rec) {
+  CheckKey(key);
   Node& node = *nodes_[m];
   const std::uint64_t inc = node.incarnation;
   while (true) {
@@ -621,8 +668,8 @@ hsim::Task<MeshStatus> Mesh::ClientRead(hsim::Processor& p, std::uint32_t m,
       if (node.incarnation != inc) {
         co_return MeshStatus::kUnavailable;
       }
-      const auto it = node.store.find(key);
-      *value = it != node.store.end() ? it->second.value : 0;
+      const Slot& slot = node.store[key];
+      *value = slot.present ? slot.entry.value : 0;
       ++node.counters.local_reads;
       if (served_locally != nullptr) {
         *served_locally = true;
@@ -665,6 +712,7 @@ hsim::Task<MeshStatus> Mesh::ClientWrite(hsim::Processor& p, std::uint32_t m,
                                          std::uint64_t key, std::uint64_t value,
                                          std::uint64_t op_id, std::uint64_t* version,
                                          hflight::FlightRecord* rec) {
+  CheckKey(key);
   Node& node = *nodes_[m];
   const std::uint64_t inc = node.incarnation;
   while (true) {
@@ -719,7 +767,7 @@ void Mesh::Suspect(std::uint32_t m) {
     return;  // alive (possibly partitioned): never evicted on suspicion alone
   }
   ring_.RemoveMachine(m);
-  ++epoch_;
+  RingChanged();
   ++failovers_;
   nodes_[m]->timeline.failover_at = engine_->now();
 }
@@ -728,11 +776,10 @@ void Mesh::Kill(std::uint32_t m) {
   Node& node = *nodes_[m];
   node.state = NodeState::kDown;
   ++node.incarnation;  // fences every task of the old incarnation
-  node.store.clear();
-  node.applied_ops.clear();
-  node.applied_fifo.clear();
+  node.store.assign(node.store.size(), Slot{});  // also clears every write_busy
+  node.writes_in_flight = 0;
+  node.applied_ops.Clear();
   node.inbox.clear();
-  node.write_busy.clear();
   node.windows.assign(node.windows.size(), {});
   // Void the node's outbound calls; each lane keeps its sequence counter, so
   // stale replies from the previous life can never match a post-recovery call.
@@ -793,8 +840,9 @@ hsim::Task<bool> Mesh::PullFrom(hsim::Processor& p, std::uint32_t m, std::uint64
     for (const SyncEntry& e : out.sync) {
       service += config_.sync_entry_service;
       if (op == MeshOp::kSyncPull) {
-        Entry& mine = node.store[e.key];
-        if (e.version > mine.version) {
+        Slot& mine = SlotOf(node, e.key);
+        mine.present = true;  // as kUpdate: the pull creates the entry it gates against
+        if (e.version > mine.entry.version) {
           // Resync replicates an apply the ledger already recorded at its
           // origin; log=false keeps the exact-once ledger fresh-applies-only.
           ApplyEntry(node, e.key, e.value, e.version, e.writer_op, /*log=*/false);
@@ -845,7 +893,7 @@ hsim::Task<void> Mesh::ResyncTask(std::uint32_t m, std::uint64_t inc) {
   // Rejoin: ring add + kUp commit at one host instant, so every write
   // broadcast from now on includes this machine.
   ring_.AddMachine(m);
-  ++epoch_;
+  RingChanged();
   node.state = NodeState::kUp;
   // Round 2: catch-up.  A write that committed at a surviving owner between
   // round 1 reading its store and the rejoin above is closed here; writes
@@ -860,20 +908,25 @@ hsim::Task<void> Mesh::ResyncTask(std::uint32_t m, std::uint64_t inc) {
 // --- verification / metrics ---------------------------------------------------
 
 const Mesh::Entry* Mesh::Lookup(std::uint32_t m, std::uint64_t key) const {
-  const auto it = nodes_[m]->store.find(key);
-  return it == nodes_[m]->store.end() ? nullptr : &it->second;
+  CheckKey(key);
+  const Slot& slot = nodes_[m]->store[key];
+  return slot.present ? &slot.entry : nullptr;
 }
 
 std::uint64_t Mesh::Digest() const {
   std::uint64_t d = ring_.Digest() + HashRing::Mix(epoch_ * 31 + failovers_ * 7 + resyncs_);
   for (std::uint32_t m = 0; m < config_.machines; ++m) {
     const Node& node = *nodes_[m];
-    for (const auto& [key, e] : node.store) {
-      d += HashRing::Mix(key ^ e.value ^ (e.version << 32) ^ e.writer_op);
+    for (std::uint64_t key = 0; key < node.store.size(); ++key) {
+      const Slot& slot = node.store[key];
+      if (slot.present) {
+        const Entry& e = slot.entry;
+        d += HashRing::Mix(key ^ e.value ^ (e.version << 32) ^ e.writer_op);
+      }
     }
-    for (const auto& [op, rec] : node.applied_ops) {
-      d += HashRing::Mix(op ^ (rec.key << 4) ^ (rec.value << 8) ^ (rec.version << 44));
-    }
+    node.applied_ops.ForEach([&](const AppliedOps::Record& rec) {
+      d += HashRing::Mix(rec.op_id ^ (rec.key << 4) ^ (rec.value << 8) ^ (rec.version << 44));
+    });
     const NodeCounters& c = node.counters;
     d += HashRing::Mix((std::uint64_t{m} << 48) ^ c.local_reads ^ (c.forwarded_reads << 8) ^
                        (c.gets_served << 16) ^ (c.puts_served << 24) ^

@@ -52,12 +52,13 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "src/hmesh/applied_ops.h"
 #include "src/hmesh/ring.h"
 #include "src/hsim/engine.h"
 #include "src/hsim/exact_once.h"
@@ -137,6 +138,9 @@ struct MeshConfig {
     member.modules_per_station = 4;
   }
 
+  // The keyspace is [0, keys()).  Every key a mesh is asked about must lie
+  // in it: per-node stores are dense arrays over it, and a key outside it
+  // aborts in every build type.
   std::uint64_t keys() const { return keys_per_machine * machines; }
 };
 
@@ -230,7 +234,14 @@ class Mesh {
 
   // --- routing ----------------------------------------------------------------
   bool HoldsLocally(std::uint32_t m, std::uint64_t key) const;
+  // The key's holders under the current ring, owner first: a fresh ring walk
+  // on every call.  The mesh itself reads the same sets from a table built
+  // once per ring epoch (CachedHoldersOf).
   std::vector<std::uint32_t> HoldersOf(std::uint64_t key) const;
+  std::span<const std::uint32_t> CachedHoldersOf(std::uint64_t key) const {
+    CheckKey(key);
+    return holders_->Of(key);
+  }
 
   // --- client operations ------------------------------------------------------
   // Run on a processor of machine m; retry internally across kWrongOwner /
@@ -251,11 +262,12 @@ class Mesh {
   };
   // nullptr when machine m does not currently store `key`.
   const Entry* Lookup(std::uint32_t m, std::uint64_t key) const;
+  // Machine m's dedup table.
+  const AppliedOps& applied_ops(std::uint32_t m) const { return nodes_[m]->applied_ops; }
   // Host-side apply ledger: every distinct version each client op was applied
   // at, mesh-wide.  Exactly-once == every acked op maps to exactly one entry.
-  const std::map<std::uint64_t, std::vector<std::uint64_t>>& op_versions() const {
-    return op_versions_;
-  }
+  using Ledger = std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>;
+  const Ledger& op_versions() const { return op_versions_; }
   // Deterministic fold of ring, stores, counters, ledger, and traffic --
   // equal digests mean bit-identical replay.
   std::uint64_t Digest() const;
@@ -310,33 +322,62 @@ class Mesh {
   hflight::FlightRecorder* flight() { return flight_; }
 
  private:
-  // One applied client op, remembered for put dedup.  Keyed by op id in a
-  // per-node table so a later write to the same key cannot erase the record
-  // (the single writer_op slot in Entry is a per-key convenience, not the
-  // dedup source of truth).
-  struct AppliedOp {
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;
-    std::uint64_t version = 0;
+  // One key's state on one node.  `present` is possession: a key the node
+  // does not store has no entry for Lookup, Digest or a sync pull.
+  struct Slot {
+    Entry entry;
+    bool present = false;
+    bool write_busy = false;  // a put of this key is in flight here
   };
 
   struct Node {
+    explicit Node(std::uint32_t dedup_window) : applied_ops(dedup_window) {}
+
     std::unique_ptr<hsim::Machine> machine;
     std::unique_ptr<hsim::Resource> store_service;
     std::vector<hsim::SimWord*> store_words;
     NodeState state = NodeState::kUp;
     std::uint64_t incarnation = 1;
-    std::map<std::uint64_t, Entry> store;  // ordered: deterministic iteration
-    std::map<std::uint64_t, AppliedOp> applied_ops;  // op id -> dedup record
-    std::deque<std::uint64_t> applied_fifo;          // insertion order: eviction
+    std::vector<Slot> store;  // dense over the keyspace, indexed by key
+    // Op id -> dedup record.  Keyed by op id, not by key, so a later write
+    // to the same key cannot erase the record (the writer_op slot in Entry
+    // is a per-key convenience, not the dedup source of truth).
+    AppliedOps applied_ops;
+    std::uint32_t writes_in_flight = 0;  // keys with write_busy set
     std::deque<MeshPacket> inbox;
     std::vector<hsim::DedupWindow<MeshPacket>> windows;  // by sender channel id
-    std::set<std::uint64_t> write_busy;    // keys with a put in flight
     std::vector<std::uint32_t> free_lanes;
     NodeCounters counters;
     Timeline timeline;
     hprof::LockSiteStats* site = nullptr;
   };
+
+  // Every key's holders under one ring, owner first, from one ring walk per
+  // key.  Immutable once built: a coroutine that holds the table across
+  // awaits keeps the holders it started with even if the ring moves meanwhile,
+  // as the vector HoldersOf returns would.
+  struct HolderTable {
+    std::size_t stride = 0;             // machines: the largest holder set
+    std::vector<std::uint32_t> count;   // per key
+    std::vector<std::uint32_t> machines;  // key * stride + i
+    std::span<const std::uint32_t> Of(std::uint64_t key) const {
+      return {machines.data() + key * stride, count[key]};
+    }
+  };
+
+  // Aborts unless key < keys().
+  void CheckKey(std::uint64_t key) const;
+  // How many holders the key's replica policy asks for: every member for a
+  // hot key, config.replicas for a cold one.
+  std::uint32_t HolderCount(std::uint64_t key) const;
+  Slot& SlotOf(Node& node, std::uint64_t key) const {
+    CheckKey(key);
+    return node.store[key];
+  }
+  // Builds holders_ from ring_: at construction and on every ring change.
+  void RebuildHolders();
+  // After a ring change: a new epoch and a new holder table.
+  void RingChanged();
 
   // --- transport --------------------------------------------------------------
   void SendPacket(const MeshPacket& packet, Tick now);
@@ -365,10 +406,12 @@ class Mesh {
                                 Tick service);
   void ApplyEntry(Node& node, std::uint64_t key, std::uint64_t value, std::uint64_t version,
                   std::uint64_t op_id, bool log);
+  // Clears the key's write_busy flag, set by ApplyPut.
+  static void EndWrite(Node& node, std::uint64_t key);
   // Remembers op_id in the node's dedup table (no-op for op id 0 or an
   // already-recorded op); evicts the oldest records past dedup_window.
-  void RecordAppliedOp(Node& node, std::uint64_t op_id, std::uint64_t key,
-                       std::uint64_t value, std::uint64_t version);
+  static void RecordAppliedOp(Node& node, std::uint64_t op_id, std::uint64_t key,
+                              std::uint64_t value, std::uint64_t version);
   hsim::Task<PutResult> ApplyPut(hsim::Processor& p, std::uint32_t m, std::uint64_t inc,
                                  std::uint64_t key, std::uint64_t value, std::uint64_t op_id,
                                  hflight::FlightRecord* rec);
@@ -385,6 +428,7 @@ class Mesh {
   MeshConfig config_;
   HashRing ring_;
   std::uint64_t epoch_ = 0;
+  std::shared_ptr<const HolderTable> holders_;  // for ring_ as of epoch_
   std::uint64_t failovers_ = 0;
   std::uint64_t resyncs_ = 0;
   std::uint64_t stale_replies_ = 0;
@@ -392,7 +436,7 @@ class Mesh {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<hsim::CallSlot<MeshPacket>> channels_;  // machines x lanes
   std::vector<std::uint64_t> traffic_;     // machines x machines send counts
-  std::map<std::uint64_t, std::vector<std::uint64_t>> op_versions_;
+  Ledger op_versions_;
   std::unique_ptr<hsim::FaultPlan> fault_plan_;
   hflight::FlightRecorder* flight_ = nullptr;
 };

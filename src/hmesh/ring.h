@@ -70,18 +70,27 @@ class HashRing {
   // owner is always element 0.  Returns fewer when the ring has fewer
   // members.
   std::vector<std::uint32_t> ReplicaSet(std::uint64_t key, std::uint32_t replicas) const {
-    std::vector<std::uint32_t> out;
-    if (points_.empty() || replicas == 0) {
-      return out;
+    std::vector<std::uint32_t> out(std::min<std::size_t>(replicas, members_.size()));
+    out.resize(ReplicaSetInto(key, replicas, out.data()));
+    return out;
+  }
+
+  // ReplicaSet without the allocation: writes the set to `out`, which has
+  // room for min(replicas, num_machines()) machines, and returns its size.
+  std::size_t ReplicaSetInto(std::uint64_t key, std::uint32_t replicas,
+                             std::uint32_t* out) const {
+    if (points_.empty()) {
+      return 0;
     }
-    std::size_t i = FirstAtOrAfter(HashKey(key));
-    for (std::size_t walked = 0; walked < points_.size() && out.size() < replicas; ++walked) {
-      const std::uint32_t m = points_[(i + walked) % points_.size()].machine;
-      if (std::find(out.begin(), out.end(), m) == out.end()) {
-        out.push_back(m);
+    std::size_t n = 0;
+    const std::size_t first = FirstAtOrAfter(HashKey(key));
+    for (std::size_t walked = 0; walked < points_.size() && n < replicas; ++walked) {
+      const std::uint32_t m = points_[(first + walked) % points_.size()].machine;
+      if (std::find(out, out + n, m) == out + n) {
+        out[n++] = m;
       }
     }
-    return out;
+    return n;
   }
 
   // Order-independent fold of the point table: two rings with equal digests

@@ -124,7 +124,9 @@ class [[nodiscard]] Task {
   std::coroutine_handle<promise_type> handle_ = nullptr;
 };
 
-// void specialization.
+// void specialization.  An empty Task<void> (default-constructed) is already
+// finished: awaiting it is ready at once and does nothing, which lets a plain
+// function that returns Task<void> skip building a frame when it has no work.
 template <>
 class [[nodiscard]] Task<void> {
  public:
@@ -168,9 +170,8 @@ class [[nodiscard]] Task<void> {
         return handle;
       }
       void await_resume() {
-        promise_type& promise = handle.promise();
-        if (promise.exception) {
-          std::rethrow_exception(promise.exception);
+        if (handle && handle.promise().exception) {
+          std::rethrow_exception(handle.promise().exception);
         }
       }
     };

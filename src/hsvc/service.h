@@ -51,6 +51,7 @@
 #include "src/hcluster/topology.h"
 #include "src/hflight/flight.h"
 #include "src/hlock/lock_free.h"
+#include "src/hlock/padded.h"
 #include "src/hmetrics/histogram.h"
 #include "src/hmetrics/registry.h"
 #include "src/hprof/lock_site.h"
@@ -198,18 +199,23 @@ class Service {
     explicit Pump(std::size_t bound) : queue(bound) {}
 
     BoundedMpscQueue<Request> queue;
+    // The flag, the producer counters and the pump counters each start a
+    // cache line of their own, grouped by writer: on one shared line every
+    // request moved it between a client and the pump twice (Submit's
+    // admitted and idle, Complete's served and ema).
+    //
     // Submit->pump wake protocol: the pump sets `idle` (seq_cst) and then
     // re-polls the queue before sleeping; Submit pushes and then reads
     // `idle` (seq_cst).  At least one side sees the other, so a request
     // cannot be stranded behind a sleeping pump.
-    std::atomic<bool> idle{false};
+    alignas(hlock::kCacheLineSize) std::atomic<bool> idle{false};
 
     // Producer-side counters (any client thread).
-    std::atomic<std::uint64_t> admitted{0};
+    alignas(hlock::kCacheLineSize) std::atomic<std::uint64_t> admitted{0};
     std::atomic<std::uint64_t> rejected{0};
     // Pump-side counters (single writer, concurrent readers; served and
     // expired are bumped with release, see Complete).
-    std::atomic<std::uint64_t> served{0};
+    alignas(hlock::kCacheLineSize) std::atomic<std::uint64_t> served{0};
     std::atomic<std::uint64_t> expired{0};
     std::atomic<std::uint64_t> batches{0};
     std::atomic<std::uint64_t> combined{0};

@@ -125,7 +125,7 @@ ChaosResult RunChaosCampaign() {
   }
   r.timeline = mesh.timeline(kVictim);
   r.digest = mesh.Digest();
-  r.ledger = mesh.op_versions();
+  r.ledger.insert(mesh.op_versions().begin(), mesh.op_versions().end());
   r.stores.resize(kMachines);
   r.holds.assign(kMachines, std::vector<bool>(mc.keys(), false));
   r.owners.resize(mc.keys());

@@ -302,6 +302,151 @@ TEST(MeshTest, RetryAfterRecoveryDedupsFromSyncedOps) {
   eng.RunUntilIdle();
 }
 
+void ExpectHolderCacheMatchesRing(const Mesh& mesh, const char* when) {
+  for (std::uint64_t key = 0; key < mesh.config().keys(); ++key) {
+    const auto cached = mesh.CachedHoldersOf(key);
+    EXPECT_EQ(std::vector<std::uint32_t>(cached.begin(), cached.end()), mesh.HoldersOf(key))
+        << when << ", key " << key;
+  }
+}
+
+TEST(MeshTest, HolderCacheFollowsEveryRingChange) {
+  hsim::Engine eng;
+  MeshConfig mc = SmallMesh();
+  Mesh mesh(&eng, mc);
+  mesh.Start();
+  ExpectHolderCacheMatchesRing(mesh, "at construction");
+
+  // Failover: the victim leaves the ring, and every key it held moves.
+  const std::uint32_t victim = 2;
+  mesh.Kill(victim);
+  mesh.Suspect(victim);
+  ASSERT_FALSE(mesh.ring().Contains(victim));
+  EXPECT_EQ(mesh.epoch(), 1u);
+  ExpectHolderCacheMatchesRing(mesh, "after failover");
+  for (std::uint64_t key = 0; key < mc.keys(); ++key) {
+    const auto cached = mesh.CachedHoldersOf(key);
+    EXPECT_EQ(std::find(cached.begin(), cached.end(), victim), cached.end()) << key;
+  }
+
+  // Recovery: the rejoin is the second ring change.
+  mesh.Recover(victim);
+  ASSERT_TRUE(DriveUntil(eng, UsToTicks(200'000),
+                         [&] { return mesh.timeline(victim).synced_at != 0; }));
+  ASSERT_TRUE(mesh.ring().Contains(victim));
+  EXPECT_EQ(mesh.epoch(), 2u);
+  ExpectHolderCacheMatchesRing(mesh, "after rejoin");
+
+  mesh.Shutdown();
+  eng.RunUntilIdle();
+}
+
+// Every record of machine m's dedup table, by op id.
+std::map<std::uint64_t, AppliedOps::Record> DedupTable(const Mesh& mesh, std::uint32_t m) {
+  std::map<std::uint64_t, AppliedOps::Record> out;
+  mesh.applied_ops(m).ForEach([&](const AppliedOps::Record& r) { out.emplace(r.op_id, r); });
+  return out;
+}
+
+TEST(MeshTest, MultiBatchResyncRestoresStoreAndDedupTable) {
+  hsim::Engine eng;
+  MeshConfig mc = SmallMesh();
+  mc.sync_batch = 4;  // every pull of the store and of the table takes batches
+  Mesh mesh(&eng, mc);
+  mesh.Start();
+
+  // Writes to two hot keys the victim owns: every machine holds them, so
+  // every live machine ends with the same store and dedup table.  Each key
+  // is written many times, so the store pull restores only the last writer
+  // of each and the table pull must bring every other record.
+  const std::uint32_t victim = mesh.ring().OwnerOf(0);
+  const std::uint32_t writer = (victim + 1) % 4;
+  const std::uint32_t live = (victim + 2) % 4;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = 0; key < mc.hot_ranks * mc.machines && keys.size() < 2; ++key) {
+    if (mesh.ring().OwnerOf(key) == victim) {
+      keys.push_back(key);
+    }
+  }
+  ASSERT_EQ(keys.size(), 2u);
+  // Op ids out of order, so a table that is not served in op-id order
+  // skips records at the batch cursor.
+  constexpr std::uint64_t kOps = 3 * 4 + 2;  // more than three batches
+  std::vector<std::uint64_t> versions(kOps);
+  for (std::uint64_t n = 0; n < kOps; ++n) {
+    const std::uint64_t i = n * 5 % kOps;
+    MeshStatus status = MeshStatus::kPending;
+    eng.Spawn(OneWrite(&mesh, writer, keys[i % keys.size()], 1000 + i, ClientOpId(writer, i),
+                       &versions[i], &status));
+    ASSERT_TRUE(DriveUntil(eng, eng.now() + UsToTicks(50'000),
+                           [&] { return status != MeshStatus::kPending; }));
+    ASSERT_EQ(status, MeshStatus::kOk);
+  }
+  ASSERT_TRUE(DriveUntil(eng, eng.now() + UsToTicks(50'000), [&] { return mesh.Quiescent(); }));
+  ASSERT_EQ(mesh.applied_ops(live).size(), kOps);
+
+  // Crash and recover the owner without a failover: the ring never changes,
+  // so the victim owns the same keys again once it has resynced.
+  const hsim::Tick now = eng.now();
+  eng.Spawn(mesh.KillAt(now + UsToTicks(100), victim));
+  eng.Spawn(mesh.RecoverAt(now + UsToTicks(200), victim));
+  ASSERT_TRUE(DriveUntil(eng, now + UsToTicks(400'000),
+                         [&] { return mesh.timeline(victim).synced_at != 0; }));
+  ASSERT_TRUE(DriveUntil(eng, eng.now() + UsToTicks(50'000), [&] { return mesh.Quiescent(); }));
+
+  EXPECT_EQ(DedupTable(mesh, victim), DedupTable(mesh, live));
+  for (std::uint64_t key = 0; key < mc.hot_ranks * mc.machines; ++key) {
+    const Mesh::Entry* mine = mesh.Lookup(victim, key);
+    const Mesh::Entry* theirs = mesh.Lookup(live, key);
+    ASSERT_NE(mine, nullptr) << key;
+    ASSERT_NE(theirs, nullptr) << key;
+    EXPECT_EQ(mine->value, theirs->value) << key;
+    EXPECT_EQ(mine->version, theirs->version) << key;
+    EXPECT_EQ(mine->writer_op, theirs->writer_op) << key;
+  }
+
+  // Late retries of the lowest and the highest op id, from the first and the
+  // last batch of the table pull, dedup at the rejoined owner.
+  for (const std::uint64_t i : {std::uint64_t{0}, kOps - 1}) {
+    std::uint64_t version = 0;
+    MeshStatus status = MeshStatus::kPending;
+    eng.Spawn(OneWrite(&mesh, writer, keys[i % keys.size()], 1000 + i, ClientOpId(writer, i),
+                       &version, &status));
+    ASSERT_TRUE(DriveUntil(eng, eng.now() + UsToTicks(50'000),
+                           [&] { return status != MeshStatus::kPending; }));
+    ASSERT_EQ(status, MeshStatus::kOk);
+    EXPECT_EQ(version, versions[i]) << i;
+  }
+  EXPECT_EQ(mesh.node_counters(victim).put_dedups, 2u);
+
+  mesh.Shutdown();
+  eng.RunUntilIdle();
+}
+
+TEST(MeshDeathTest, KeyOutsideTheKeyspaceAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const MeshConfig mc = SmallMesh();
+  EXPECT_DEATH(
+      {
+        hsim::Engine eng;
+        Mesh mesh(&eng, mc);
+        mesh.Start();
+        mesh.Lookup(0, mc.keys());
+      },
+      "outside the keyspace");
+  EXPECT_DEATH(
+      {
+        hsim::Engine eng;
+        Mesh mesh(&eng, mc);
+        mesh.Start();
+        std::uint64_t version = 0;
+        MeshStatus status = MeshStatus::kPending;
+        eng.Spawn(OneWrite(&mesh, 0, mc.keys() + 5, 1, ClientOpId(0, 0), &version, &status));
+        eng.RunUntilIdle();
+      },
+      "outside the keyspace");
+}
+
 // --- full-load scenarios ------------------------------------------------------
 
 struct LoadResult {
@@ -457,10 +602,12 @@ TEST(MeshLoadTest, DeterministicReplay) {
   EXPECT_EQ(a.retransmits, b.retransmits);
 }
 
-// Pins the simulated schedule of a lossy load run: the final tick and the
-// number of engine events.  Changing how a hold or a delay is awaited must
-// leave both alone; an extra suspension or a reordered reservation moves
-// them.
+// Pins the simulated schedule of a lossy load run: the final tick, the
+// number of engine events and the digest.  Changing how a hold or a delay is
+// awaited must leave all three alone; an extra suspension or a reordered
+// reservation moves them.  The digest folds every store, dedup table and the
+// ledger without regard to container order, so it also pins the state a
+// change of per-node containers must leave as it was.
 TEST(MeshLoadTest, SchedulePin) {
   hsim::FaultConfig faults;
   faults.drop_request = 0.02;
@@ -471,6 +618,7 @@ TEST(MeshLoadTest, SchedulePin) {
   ASSERT_TRUE(r.all_done);
   EXPECT_EQ(r.end, 30433u);
   EXPECT_EQ(r.events, 20116u);
+  EXPECT_EQ(r.digest, 15767575689771785627u);
 }
 
 TEST(MeshLoadTest, PartitionedMachineIsNotEvicted) {

@@ -1,6 +1,7 @@
 // Consistent-hash ring coverage (ISSUE 10 satellite): seeded determinism and
 // join-order independence, the <= 2/N key-movement bound on a single machine
-// join or leave, and replica-set disjointness with the owner first.
+// join or leave, and replica-set disjointness with the owner first, with or
+// without an allocation.
 
 #include <cstdint>
 #include <vector>
@@ -124,6 +125,17 @@ TEST(HashRingTest, ReplicaSetClampsToMembership) {
   const std::vector<std::uint32_t> set = ring.ReplicaSet(42, 5);
   EXPECT_EQ(set.size(), 2u);
   EXPECT_NE(set[0], set[1]);
+}
+
+TEST(HashRingTest, ReplicaSetIntoWritesOnlyTheSet) {
+  constexpr std::uint32_t kUnwritten = 99;
+  std::vector<std::uint32_t> buf(4, kUnwritten);
+  EXPECT_EQ(HashRing().ReplicaSetInto(42, 3, buf.data()), 0u);  // empty ring
+  const HashRing ring = MakeRing(2);
+  ASSERT_EQ(ring.ReplicaSetInto(42, 5, buf.data()), 2u);
+  EXPECT_EQ(std::vector<std::uint32_t>(buf.begin(), buf.begin() + 2), ring.ReplicaSet(42, 5));
+  EXPECT_EQ(buf[2], kUnwritten);
+  EXPECT_EQ(buf[3], kUnwritten);
 }
 
 TEST(HashRingTest, RejoinRestoresPlacement) {
