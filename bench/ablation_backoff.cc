@@ -71,7 +71,7 @@ Row RunCap(hsim::Tick cap, unsigned procs, hsim::Tick hold, hsim::Tick duration)
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("ablation_backoff");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Ablation: spin-lock backoff cap sweep, p=16, hold=25 us (simulator)\n\n");

@@ -39,7 +39,7 @@ void ContentionRow(LockKind kind, const char* name, const hmetrics::BenchOptions
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("ablation_mcs_mods");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Ablation: MCS modifications H1 and H2 (simulator, 16 MHz HECTOR model)\n\n");

@@ -46,7 +46,7 @@ void Row(const char* name, DeadlockProtocol protocol, unsigned cluster_size,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("ablation_protocols");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Ablation: deadlock-management protocol, shared-fault test, p=16\n");

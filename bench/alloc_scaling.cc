@@ -173,7 +173,7 @@ void AddHandoffPoint(hmetrics::BenchReport* report, const char* alloc_name,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("alloc_scaling");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
 

@@ -53,7 +53,7 @@ double Contended(LockKind kind, bool coherent, unsigned p) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   g_smoke = opts.smoke;
   hmetrics::BenchReport report("ext_cache_coherent");
   report.SetParam("smoke", opts.smoke ? 1 : 0);

@@ -18,7 +18,7 @@
 #include "src/hmetrics/bench_main.h"
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("ext_mixed_workload");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Extension: mixed workload (8 independent + 8 SPMD processors),\n");

@@ -99,7 +99,7 @@ Result Run(TreePolicy policy, std::uint32_t cluster_size, int messages_per_child
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("ext_program_destruction");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   const int messages_per_child = opts.smoke ? 2 : 6;

@@ -121,7 +121,7 @@ AllocPairCounts CountAllocPair(Make make) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("fig4_instruction_counts");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Figure 4: instruction counts for an uncontended lock/unlock pair\n");

@@ -93,7 +93,7 @@ void RunPanel(Tick hold, const char* title, const hmetrics::BenchOptions& opts,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("fig5_lock_contention");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
 

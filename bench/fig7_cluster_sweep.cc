@@ -29,7 +29,7 @@ const unsigned kClusterSizes[] = {1, 2, 4, 8, 16};
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("fig7_cluster_sweep");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   printf("Figure 7c: independent-fault test, p=16, response time vs cluster size\n");

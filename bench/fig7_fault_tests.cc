@@ -22,7 +22,6 @@
 // bit-identically.  Any violation makes the exit status nonzero.
 
 #include <cstdio>
-#include <cstring>
 
 #include "src/hkernel/workloads.h"
 #include "src/hmetrics/bench_main.h"
@@ -144,12 +143,10 @@ int RunFaultCampaign(const hmetrics::BenchOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   g_smoke = opts.smoke;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults") == 0) {
-      return RunFaultCampaign(opts);
-    }
+  if (opts.faults) {
+    return RunFaultCampaign(opts);
   }
   hmetrics::BenchReport report("fig7_fault_tests");
   report.SetParam("smoke", opts.smoke ? 1 : 0);

@@ -241,7 +241,7 @@ ChaosOutcome RunChaos(std::uint64_t ops, hmetrics::Registry* registry) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
 
   const std::uint64_t sweep_ops = opts.smoke ? 400 : 1500;
   const std::uint64_t write_ops = opts.smoke ? 250 : 600;

@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using hsim::LockKind;
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("sec411_uncontended_latency");
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   const int rounds = opts.smoke ? 8 : 64;

@@ -21,16 +21,7 @@
 // (coordinated-omission-safe, from each op's scheduled arrival) are emitted
 // in a separate series that the baseline deliberately omits.
 
-// A third section races the serving layer's coarse lock: every hsvc table
-// operation serializes on its cluster replica's HybridTable coarse lock, so
-// the lock family (H1/H2 MCS vs the NUMA-aware CNA, HMCS-T, and Fissile) is
-// raced on exactly that table under a closed-loop 16-thread mixed workload,
-// with an hprof site attached for same-cluster/cross-cluster handoff
-// attribution.  Wall-clock throughput and the handoff mix are host-dependent
-// and ride in the ungated series; the gated series carries only the
-// configuration-determined op counts.
-
-// A fourth section ("blame") runs a deterministic simulated contention
+// A third section ("blame") runs a deterministic simulated contention
 // scenario -- 16 processors in 4 clusters sharing one lock, each request a
 // flight-recorded think/acquire/hold cycle -- for the kernel's coarse lock
 // (the 35 us-capped backoff spinlock) and the NUMA-aware hmcs-t, and gates
@@ -45,190 +36,20 @@
 // ScopedLedger) and prints the hwhy tail-blame report for the whole sweep;
 // --why=PATH also writes the raw hurricane-flight/1 document for the CLI.
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/hflight/blame.h"
 #include "src/hflight/flight.h"
 #include "src/hload/open_loop.h"
-#include "src/hlock/hybrid_table.h"
-#include "src/hlock/mcs_locks.h"
-#include "src/hlock/numa_locks.h"
 #include "src/hmetrics/bench_main.h"
-#include "src/hprof/lock_site.h"
 #include "src/hsim/engine.h"
 #include "src/hsim/locks/sim_lock.h"
 #include "src/hsim/machine.h"
 
 namespace {
-
-// --- serving-layer coarse-lock race ----------------------------------------
-
-// Native locks group dense hlock thread ids into synthetic clusters; the race
-// uses 16 threads in 4 clusters of 4, the HECTOR station shape.
-constexpr unsigned kRaceThreads = 16;
-constexpr unsigned kRacePpc = 4;
-
-// HybridTable default-constructs its CoarseLock, so the topology-aware locks
-// get thin default-constructible wrappers that bake in the cluster map.
-struct RaceCnaLock : hlock::CnaLock {
-  RaceCnaLock() : hlock::CnaLock(kRacePpc) {}
-};
-struct RaceHmcsTLock : hlock::HmcsTLock {
-  RaceHmcsTLock() : hlock::HmcsTLock(kRacePpc) {}
-};
-
-struct LockRaceOutcome {
-  std::uint64_t ops = 0;          // operations completed (exact, closed loop)
-  double ops_per_s = 0;           // wall-clock rate (host-dependent)
-  double frac_contended = 0;      // coarse-lock acquisitions that waited
-  double frac_same_processor = 0; // handoff mix by synthetic cluster
-  double frac_same_cluster = 0;
-  double frac_cross_cluster = 0;
-  std::uint64_t max_queue_depth = 0;
-};
-
-// Closed-loop mixed workload against one HybridTable: each thread runs
-// `ops_per_thread` operations over a small shared key space, mostly Peek
-// (reads) with every 8th op a write through an exclusive reservation.  Every
-// operation takes the coarse lock, so the lock sees the service's real
-// access pattern: short critical sections at high arrival rate.
-template <typename CoarseLock>
-LockRaceOutcome RunLockRace(std::size_t ops_per_thread, hprof::LockSiteStats* site) {
-  hlock::HybridTable<std::uint64_t, std::uint64_t, CoarseLock> table;
-  table.coarse_lock().set_site(site);
-
-  constexpr std::uint64_t kKeys = 64;
-  std::atomic<unsigned> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  pool.reserve(kRaceThreads);
-  for (unsigned t = 0; t < kRaceThreads; ++t) {
-    pool.emplace_back([&, t] {
-      // Seed this thread's slice of the key space before the measured phase;
-      // the write also assigns the thread's dense id while unmeasured.
-      for (std::uint64_t key = t; key < kKeys; key += kRaceThreads) {
-        auto guard = table.Acquire(key);
-        guard.value() = key;
-      }
-      ready.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      std::uint64_t h = t * 2654435761u + 12345;
-      for (std::size_t i = 0; i < ops_per_thread; ++i) {
-        h = h * 6364136223846793005u + 1442695040888963407u;
-        const std::uint64_t key = (h >> 33) % kKeys;
-        if (i % 8 == 0) {
-          auto guard = table.Acquire(key);
-          guard.value() += 1;
-        } else {
-          (void)table.Peek(key);
-        }
-      }
-    });
-  }
-  while (ready.load(std::memory_order_acquire) != kRaceThreads) {
-    std::this_thread::yield();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (std::thread& th : pool) {
-    th.join();
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  LockRaceOutcome out;
-  out.ops = static_cast<std::uint64_t>(ops_per_thread) * kRaceThreads;
-  out.ops_per_s = elapsed_s > 0 ? static_cast<double>(out.ops) / elapsed_s : 0;
-  const double acqs = static_cast<double>(site->acquisitions());
-  out.frac_contended = acqs > 0 ? static_cast<double>(site->contended()) / acqs : 0;
-  const double same_proc = static_cast<double>(site->handoffs(hprof::Handoff::kSameProcessor));
-  const double same_clust = static_cast<double>(site->handoffs(hprof::Handoff::kSameCluster));
-  const double cross_clust = static_cast<double>(site->handoffs(hprof::Handoff::kCrossCluster));
-  const double handoffs = same_proc + same_clust + cross_clust;
-  if (handoffs > 0) {
-    out.frac_same_processor = same_proc / handoffs;
-    out.frac_same_cluster = same_clust / handoffs;
-    out.frac_cross_cluster = cross_clust / handoffs;
-  }
-  out.max_queue_depth = site->max_queue_depth();
-  return out;
-}
-
-// --- read-path race: distributed RW readers vs the coarse lock --------------
-
-struct ReadPathOutcome {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  double reader_ops_per_s = 0;  // wall-clock (host-dependent)
-  double ops_per_s = 0;
-};
-
-// The same closed-loop table workload at the serving layer's read-heavy mix
-// (95% Peek / 5% exclusive update), with the reader route selected by
-// ReadPath: kDistributed walks chains under the per-cluster RW lock,
-// kCoarse serializes every Peek on the replica's coarse lock.  Identical op
-// schedule on both paths, so the reader-throughput ratio isolates the lock.
-ReadPathOutcome RunReadPathRace(hlock::ReadPath path, std::size_t ops_per_thread) {
-  hlock::HybridTable<std::uint64_t, std::uint64_t> table(
-      /*num_buckets=*/128, kRacePpc, path);
-
-  constexpr std::uint64_t kKeys = 64;
-  std::atomic<unsigned> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  pool.reserve(kRaceThreads);
-  for (unsigned t = 0; t < kRaceThreads; ++t) {
-    pool.emplace_back([&, t] {
-      for (std::uint64_t key = t; key < kKeys; key += kRaceThreads) {
-        auto guard = table.Acquire(key);
-        guard.value() = key;
-      }
-      ready.fetch_add(1, std::memory_order_release);
-      while (!go.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      std::uint64_t h = t * 2654435761u + 12345;
-      for (std::size_t i = 0; i < ops_per_thread; ++i) {
-        h = h * 6364136223846793005u + 1442695040888963407u;
-        const std::uint64_t key = (h >> 33) % kKeys;
-        if (i % 20 == 0) {
-          auto guard = table.Acquire(key);
-          guard.value() += 1;
-        } else {
-          (void)table.Peek(key);
-        }
-      }
-    });
-  }
-  while (ready.load(std::memory_order_acquire) != kRaceThreads) {
-    std::this_thread::yield();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (std::thread& th : pool) {
-    th.join();
-  }
-  const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  ReadPathOutcome out;
-  const std::uint64_t writes_per_thread = (ops_per_thread + 19) / 20;
-  out.writes = writes_per_thread * kRaceThreads;
-  out.reads = static_cast<std::uint64_t>(ops_per_thread) * kRaceThreads - out.writes;
-  if (elapsed_s > 0) {
-    out.reader_ops_per_s = static_cast<double>(out.reads) / elapsed_s;
-    out.ops_per_s = static_cast<double>(out.reads + out.writes) / elapsed_s;
-  }
-  return out;
-}
 
 // --- deterministic tail-blame scenario (gated "blame" series) ---------------
 
@@ -372,7 +193,7 @@ RunOutcome RunOne(std::uint32_t clusters, double rate_per_worker, double load_fa
 }  // namespace
 
 int main(int argc, char** argv) {
-  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(&argc, argv);
+  const hmetrics::BenchOptions opts = hmetrics::ParseBenchArgs(argc, argv);
   hmetrics::BenchReport report("svc_throughput");
   report.SetEnv("sim", "native-host");
 
@@ -389,91 +210,6 @@ int main(int argc, char** argv) {
   report.SetParam("smoke", opts.smoke ? 1 : 0);
   report.SetParam("rate_per_worker", rate);
   report.SetParam("window_s", window_s);
-
-  // Coarse-lock race first: cluster attribution groups dense hlock thread
-  // ids (kRacePpc per cluster), and the race threads only own the dense ids
-  // 0..15 while no other thread in the process has touched a native lock.
-  {
-    const std::size_t ops_per_thread = opts.smoke ? 500 : 4000;
-    struct RaceSeries {
-      const char* name;
-      LockRaceOutcome (*run)(std::size_t, hprof::LockSiteStats*);
-    };
-    const RaceSeries kRaceLocks[] = {
-        {"h1-mcs", &RunLockRace<hlock::McsH1Lock>},
-        {"h2-mcs", &RunLockRace<hlock::McsH2Lock>},
-        {"cna", &RunLockRace<RaceCnaLock>},
-        {"hmcs-t", &RunLockRace<RaceHmcsTLock>},
-        {"fissile", &RunLockRace<hlock::FissileLock>},
-    };
-    hprof::SiteTable sites(/*ticks_per_us=*/1000.0);  // native: nanoseconds
-    printf("serving-table coarse-lock race (%u threads, %u clusters, %zu ops/thread)\n",
-           kRaceThreads, kRaceThreads / kRacePpc, ops_per_thread);
-    printf("%-10s %12s %10s %11s %11s %12s %8s\n", "lock", "ops/s", "contended",
-           "same-proc", "same-clust", "cross-clust", "maxq");
-    for (const RaceSeries& lock : kRaceLocks) {
-      hprof::LockSiteStats& site =
-          sites.AddSite(std::string("svc/coarse/") + lock.name, kRacePpc);
-      const LockRaceOutcome out = lock.run(ops_per_thread, &site);
-      printf("%-10s %12.0f %10.3f %11.3f %11.3f %12.3f %8llu\n", lock.name,
-             out.ops_per_s, out.frac_contended, out.frac_same_processor,
-             out.frac_same_cluster, out.frac_cross_cluster,
-             static_cast<unsigned long long>(out.max_queue_depth));
-      // Gated: the closed loop completes every planned op by construction.
-      report.AddSeries("lock_race", {{"lock", lock.name}})
-          .AddPoint({{"threads", static_cast<double>(kRaceThreads)},
-                     {"ops", static_cast<double>(out.ops)},
-                     {"frac_completed", 1.0}});
-      // Ungated: wall-clock rate and the host-scheduling-dependent handoff
-      // mix (the deterministic-sim counterpart is gated in fig5's handoff
-      // series; here the mix is reported for the same materially-higher
-      // same-cluster share, not band-checked).
-      report.AddSeries("lock_race_wallclock", {{"lock", lock.name}})
-          .AddPoint({{"threads", static_cast<double>(kRaceThreads)},
-                     {"ops_per_s", out.ops_per_s},
-                     {"frac_contended", out.frac_contended},
-                     {"frac_same_processor", out.frac_same_processor},
-                     {"frac_same_cluster", out.frac_same_cluster},
-                     {"frac_cross_cluster", out.frac_cross_cluster},
-                     {"max_queue_depth", static_cast<double>(out.max_queue_depth)}});
-    }
-    printf("\n");
-  }
-
-  // Read-path race at the serving mix (95/5): the distributed per-cluster RW
-  // read path against the coarse-serialized one, same op schedule.  Reader
-  // throughput must be at least 3x at 4 clusters; the gated field is the
-  // saturating indicator min(ratio/3, 1) so the gate is a floor, stable
-  // however far ahead the distributed path pulls on a given host.
-  {
-    const std::size_t ops_per_thread = opts.smoke ? 500 : 4000;
-    printf("read-path race at 95%%/5%% (%u threads, %u clusters, %zu ops/thread)\n",
-           kRaceThreads, kRaceThreads / kRacePpc, ops_per_thread);
-    const ReadPathOutcome coarse =
-        RunReadPathRace(hlock::ReadPath::kCoarse, ops_per_thread);
-    const ReadPathOutcome dist =
-        RunReadPathRace(hlock::ReadPath::kDistributed, ops_per_thread);
-    const double speedup = coarse.reader_ops_per_s > 0
-                               ? dist.reader_ops_per_s / coarse.reader_ops_per_s
-                               : 0.0;
-    printf("%-12s %14s %14s\n", "read path", "reads/s", "total ops/s");
-    printf("%-12s %14.0f %14.0f\n", "coarse", coarse.reader_ops_per_s, coarse.ops_per_s);
-    printf("%-12s %14.0f %14.0f\n", "distributed", dist.reader_ops_per_s, dist.ops_per_s);
-    printf("distributed reader throughput advantage: %.2fx (floor 3x)\n\n", speedup);
-    // Gated: the op schedule (exact counts) and the >=3x floor indicator.
-    report.AddSeries("read_path", {})
-        .AddPoint({{"clusters", static_cast<double>(kRaceThreads / kRacePpc)},
-                   {"ops", static_cast<double>((dist.reads + dist.writes))},
-                   {"frac_reads", static_cast<double>(dist.reads) /
-                                      static_cast<double>(dist.reads + dist.writes)},
-                   {"frac_speedup_met", speedup >= 3.0 ? 1.0 : speedup / 3.0}});
-    // Ungated: the raw wall-clock rates behind the indicator.
-    report.AddSeries("read_path_wallclock", {})
-        .AddPoint({{"clusters", static_cast<double>(kRaceThreads / kRacePpc)},
-                   {"coarse_reads_per_s", coarse.reader_ops_per_s},
-                   {"distributed_reads_per_s", dist.reader_ops_per_s},
-                   {"reader_speedup", speedup}});
-  }
 
   // Deterministic simulated tail blame: the kernel's coarse backoff spinlock
   // vs the NUMA-aware hmcs-t under identical request schedules.  Gated: the

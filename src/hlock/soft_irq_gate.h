@@ -7,8 +7,8 @@
 // finding the flag set enqueues its work on a per-processor queue; the work
 // runs when the flag clears.  The flag and queue are strictly local in the
 // paper; here the owner thread manipulates the gate while any thread may post
-// work (the cross-processor RPC analogue), so the queue is a Vyukov-style
-// intrusive MPSC list.
+// work (the cross-processor RPC analogue), so the queue is an
+// IntrusiveMpscList (mpsc_list.h).
 //
 // Because deferred work is executed in arrival order when the gate opens,
 // access to the processor is fair -- the property retry-based TryLock lacks.
@@ -24,6 +24,7 @@
 #include <functional>
 #include <utility>
 
+#include "src/hlock/mpsc_list.h"
 #include "src/hlock/platform.h"
 
 namespace hlock {
@@ -31,17 +32,12 @@ namespace hlock {
 template <class Platform = StdPlatform>
 class BasicSoftIrqGate {
  public:
-  BasicSoftIrqGate() : head_(&stub_), tail_(&stub_) {}
+  BasicSoftIrqGate() = default;
 
   ~BasicSoftIrqGate() {
     // Drain remaining items without running them.
-    WorkItem* item = tail_;
-    while (item != nullptr) {
-      WorkItem* next = item->next.load(std::memory_order_acquire);
-      if (item != &stub_) {
-        delete item;
-      }
-      item = next;
+    while (WorkItem* item = queue_.Pop()) {
+      delete item;
     }
   }
 
@@ -94,8 +90,7 @@ class BasicSoftIrqGate {
     while (pending > hw &&
            !high_water_.compare_exchange_weak(hw, pending, std::memory_order_relaxed)) {
     }
-    WorkItem* prev = head_.exchange(item, std::memory_order_acq_rel);
-    prev->next.store(item, std::memory_order_release);
+    queue_.Push(item);
   }
 
   // --- statistics -----------------------------------------------------------------
@@ -111,7 +106,7 @@ class BasicSoftIrqGate {
  private:
   struct WorkItem {
     std::function<void()> work;
-    typename Platform::template Atomic<WorkItem*> next{nullptr};
+    typename Platform::template Atomic<WorkItem*> mpsc_next{nullptr};
   };
 
   void Drain() {
@@ -123,49 +118,15 @@ class BasicSoftIrqGate {
       bool* flag;
       ~Reset() { *flag = false; }
     } reset{&draining_};
-    while (true) {
-      WorkItem* tail = tail_;
-      WorkItem* next = tail->next.load(std::memory_order_acquire);
-      if (tail == &stub_) {
-        if (next == nullptr) {
-          return;  // empty
-        }
-        tail_ = next;
-        tail = next;
-        next = next->next.load(std::memory_order_acquire);
-      }
-      if (next != nullptr) {
-        tail_ = next;
-        tail->work();
-        ++executed_;
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        delete tail;
-        continue;
-      }
-      // tail is the last element; re-insert the stub and retry to detach it.
-      WorkItem* head = head_.load(std::memory_order_acquire);
-      if (tail != head) {
-        return;  // a producer is mid-push; its item will be visible shortly
-      }
-      stub_.next.store(nullptr, std::memory_order_relaxed);
-      WorkItem* prev = head_.exchange(&stub_, std::memory_order_acq_rel);
-      prev->next.store(&stub_, std::memory_order_release);
-      next = tail->next.load(std::memory_order_acquire);
-      if (next != nullptr) {
-        tail_ = next;
-        tail->work();
-        ++executed_;
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        delete tail;
-      }
+    while (WorkItem* item = queue_.Pop()) {
+      item->work();
+      ++executed_;
+      pending_.fetch_sub(1, std::memory_order_relaxed);
+      delete item;
     }
   }
 
-  // Vyukov intrusive MPSC queue: producers push to head_, the single consumer
-  // pops from tail_.
-  typename Platform::template Atomic<WorkItem*> head_;
-  WorkItem* tail_;
-  WorkItem stub_;
+  IntrusiveMpscList<WorkItem, Platform> queue_;
 
   int depth_ = 0;          // owner-only
   bool draining_ = false;  // owner-only: prevents re-entrant drains

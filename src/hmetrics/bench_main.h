@@ -17,14 +17,17 @@
 //                    tail-blame report; with =PATH also write the raw
 //                    hurricane-flight/1 document (hwhy CLI input) there.
 //                    Benches that support it document which runs are recorded.
+//   --faults         run the fault campaign instead of the figure
+//                    (fig7_fault_tests).
 //
-// Unrecognized arguments are left in place (ParseBenchArgs compacts argv), so
-// wrappers like google-benchmark keep their own flags.
+// Any other argument is an error: ParseBenchArgs prints the usage and exits
+// with status 2, so a misspelt flag never runs a bench in its default mode.
 
 #ifndef HMETRICS_BENCH_MAIN_H_
 #define HMETRICS_BENCH_MAIN_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -42,39 +45,54 @@ struct BenchOptions {
   std::string profile_path;  // empty: report to stdout only
   bool why = false;
   std::string why_path;  // empty: report to stdout only
+  bool faults = false;
 };
 
-// Consumes the shared flags from argv (shifting the rest down and updating
-// *argc) and returns the parsed options.
-inline BenchOptions ParseBenchArgs(int* argc, char** argv) {
-  BenchOptions opts;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
+// Parses argv[1..argc) into *opts.  Returns false, naming the first
+// unrecognized argument in *error, if any argument is not a shared flag.
+inline bool ParseBenchFlags(int argc, char** argv, BenchOptions* opts, std::string* error) {
+  for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--json") == 0) {
-      opts.json = true;
+      opts->json = true;
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      opts.json = true;
-      opts.json_path = arg + 7;
+      opts->json = true;
+      opts->json_path = arg + 7;
     } else if (std::strcmp(arg, "--smoke") == 0) {
-      opts.smoke = true;
+      opts->smoke = true;
     } else if (std::strncmp(arg, "--trace=", 8) == 0) {
-      opts.trace_path = arg + 8;
+      opts->trace_path = arg + 8;
     } else if (std::strcmp(arg, "--profile") == 0) {
-      opts.profile = true;
+      opts->profile = true;
     } else if (std::strncmp(arg, "--profile=", 10) == 0) {
-      opts.profile = true;
-      opts.profile_path = arg + 10;
+      opts->profile = true;
+      opts->profile_path = arg + 10;
     } else if (std::strcmp(arg, "--why") == 0) {
-      opts.why = true;
+      opts->why = true;
     } else if (std::strncmp(arg, "--why=", 6) == 0) {
-      opts.why = true;
-      opts.why_path = arg + 6;
+      opts->why = true;
+      opts->why_path = arg + 6;
+    } else if (std::strcmp(arg, "--faults") == 0) {
+      opts->faults = true;
     } else {
-      argv[out++] = argv[i];
+      *error = std::string("unrecognized argument '") + arg + "'";
+      return false;
     }
   }
-  *argc = out;
+  return true;
+}
+
+// The main() entry: the parsed options, or usage on stderr and exit(2).
+inline BenchOptions ParseBenchArgs(int argc, char** argv) {
+  BenchOptions opts;
+  std::string error;
+  if (!ParseBenchFlags(argc, argv, &opts, &error)) {
+    std::fprintf(stderr,
+                 "%s: %s\nusage: %s [--json[=PATH]] [--smoke] [--trace=PATH] "
+                 "[--profile[=PATH]] [--why[=PATH]] [--faults]\n",
+                 argv[0], error.c_str(), argv[0]);
+    std::exit(2);
+  }
   return opts;
 }
 

@@ -1,14 +1,12 @@
 // Bounded intrusive MPSC queue -- the request inbox of one shard pump.
 //
-// The algorithm is the same Vyukov intrusive MPSC list the SoftIrqGate uses
-// (producers exchange the head, the single consumer chases next pointers
-// through a stub node), plus an admission counter that makes it *bounded*:
-// producers claim a slot with a bounded CAS on the depth counter, so under
-// overload they learn "full" in a couple of uncontended atomic ops instead of
-// growing an unbounded backlog -- admission control rejects at the door,
-// which is what keeps service latency bounded when offered load exceeds
-// capacity (the queueing-collapse alternative is the whole reason hsvc
-// exists).
+// hlock::IntrusiveMpscList (the Vyukov list the SoftIrqGate also uses) plus
+// an admission counter that makes it *bounded*: producers claim a slot with
+// a bounded CAS on the depth counter, so under overload they learn "full"
+// in a couple of uncontended atomic ops instead of growing an unbounded
+// backlog -- admission control rejects at the door, which is what keeps
+// service latency bounded when offered load exceeds capacity (the
+// queueing-collapse alternative is the whole reason hsvc exists).
 //
 // Admission contract:
 //   - depth() counts admitted-but-not-yet-popped items, including items a
@@ -27,20 +25,17 @@
 //     model-checks that a quiescent non-full queue never rejects.
 //   - The successful claim CAS is acq_rel (it pairs with other claims and
 //     with Pop's release decrement); the reload on CAS failure is relaxed --
-//     a failed attempt publishes nothing.  Pop's decrement in Take is
-//     release, so a producer whose claim reads the decremented count also
-//     observes the consumer's detachment of the popped item.
+//     a failed attempt publishes nothing.  Pop's decrement is release, so
+//     a producer whose claim reads the decremented count also observes the
+//     consumer's detachment of the popped item.
 //
 // Nodes are caller-owned (type-stable request pools, the footnote-2
-// discipline): the queue never allocates or frees.  T must expose a
-// `Platform::Atomic<T*> mpsc_next` member and be default-constructible (one
-// private T serves as the stub; it is never handed out).  The Platform
-// policy (default StdPlatform = std::atomic) exists so the admission
-// protocol itself can run under the hcheck model checker.
+// discipline), with the list's requirements on T.  The Platform policy
+// (default StdPlatform = std::atomic) exists so the admission protocol
+// itself can run under the hcheck model checker.
 //
-// Producer-side state (head_, depth_) lives on its own cache lines via
-// hlock::Padded so a busy submit path does not ping-pong the consumer's
-// tail cursor.
+// The depth counter lives on its own cache line via hlock::Padded, and the
+// list keeps its producer head and consumer tail on lines of their own.
 
 #ifndef HSVC_REQUEST_QUEUE_H_
 #define HSVC_REQUEST_QUEUE_H_
@@ -48,6 +43,7 @@
 #include <atomic>
 #include <cstddef>
 
+#include "src/hlock/mpsc_list.h"
 #include "src/hlock/padded.h"
 #include "src/hlock/platform.h"
 
@@ -56,10 +52,7 @@ namespace hsvc {
 template <typename T, class Platform = hlock::StdPlatform>
 class BoundedMpscQueue {
  public:
-  explicit BoundedMpscQueue(std::size_t bound) : bound_(bound) {
-    head_->store(&stub_, std::memory_order_relaxed);
-    tail_ = &stub_;
-  }
+  explicit BoundedMpscQueue(std::size_t bound) : bound_(bound) {}
   BoundedMpscQueue(const BoundedMpscQueue&) = delete;
   BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
 
@@ -76,8 +69,7 @@ class BoundedMpscQueue {
                                             std::memory_order_acq_rel,
                                             std::memory_order_relaxed));
     item->mpsc_next.store(nullptr, std::memory_order_relaxed);
-    T* prev = head_->exchange(item, std::memory_order_acq_rel);
-    prev->mpsc_next.store(item, std::memory_order_release);
+    list_.Push(item);
     return true;
   }
 
@@ -85,33 +77,13 @@ class BoundedMpscQueue {
   // is mid-push; the item becomes visible at the next call, so pumps treat
   // nullptr as "nothing right now", never as a fence.
   T* Pop() {
-    T* tail = tail_;
-    T* next = tail->mpsc_next.load(std::memory_order_acquire);
-    if (tail == &stub_) {
-      if (next == nullptr) {
-        return nullptr;
-      }
-      tail_ = next;
-      tail = next;
-      next = next->mpsc_next.load(std::memory_order_acquire);
+    T* item = list_.Pop();
+    if (item != nullptr) {
+      // Release: a producer whose claim CAS reads this decrement also sees
+      // the pop it paid for (the claim side is acq_rel).
+      depth_->fetch_sub(1, std::memory_order_release);
     }
-    if (next != nullptr) {
-      return Take(tail, next);
-    }
-    T* head = head_->load(std::memory_order_acquire);
-    if (tail != head) {
-      return nullptr;  // producer mid-push; its item will be visible shortly
-    }
-    // `tail` is the last element: re-insert the stub behind it so the list is
-    // never empty, then detach.
-    stub_.mpsc_next.store(nullptr, std::memory_order_relaxed);
-    T* prev = head_->exchange(&stub_, std::memory_order_acq_rel);
-    prev->mpsc_next.store(&stub_, std::memory_order_release);
-    next = tail->mpsc_next.load(std::memory_order_acquire);
-    if (next != nullptr) {
-      return Take(tail, next);
-    }
-    return nullptr;
+    return item;
   }
 
   // Occupancy as the admission counter sees it (includes items a producer is
@@ -120,20 +92,13 @@ class BoundedMpscQueue {
   std::size_t bound() const { return bound_; }
 
  private:
-  T* Take(T* item, T* next) {
-    tail_ = next;
-    // Release: a producer whose claim CAS reads this decrement also sees the
-    // pop it paid for (the claim side is acq_rel).
-    depth_->fetch_sub(1, std::memory_order_release);
-    return item;
-  }
-
   const std::size_t bound_;
-  hlock::Padded<typename Platform::template Atomic<T*>> head_;  // producers
+  // Head and tail on lines of their own.  The list comes first, so the
+  // producers' head shares its 128-byte line pair (the unit of adjacent-line
+  // prefetch) with the read-only bound_, not with the consumer's tail.
+  hlock::IntrusiveMpscList<T, Platform, hlock::kCacheLineSize> list_;
   hlock::Padded<typename Platform::template Atomic<std::size_t>> depth_{
       0};  // producers + consumer
-  alignas(hlock::kCacheLineSize) T* tail_;  // consumer only
-  T stub_;
 };
 
 }  // namespace hsvc

@@ -18,8 +18,9 @@ index), and every numeric field must stay inside the tolerance band:
     scheduling-order changes legitimately move tail metrics; the band is wide
     enough for that and still catches 2x regressions.
 
-Wall-clock native benches (native_*) are skipped entirely: their numbers
-measure the CI machine, not the code.
+Only series present in the baseline are compared, so a bench gates exactly
+the series recorded there: native_costs keeps its host-independent ratios in
+the baseline and its raw nanoseconds and race rates out of it.
 
 Extra series/points/fields in the results are allowed (new benches should not
 fail the gate); anything missing or out of band fails it.
@@ -31,10 +32,6 @@ Requires only the Python 3 standard library.
 import argparse
 import json
 import sys
-
-# Wall-clock benches: their numbers vary with host load, so they are excluded
-# from the gate (they still run and land in BENCH_RESULTS.json).
-SKIP_BENCHES = {"native_lock_latency", "native_hybrid_table", "native_cluster"}
 
 # Sweep coordinates: must match exactly between baseline and results.
 # "quantile" is the tail quantile of the hwhy blame series -- a changed
@@ -58,8 +55,6 @@ def index_reports(reports):
     out = {}
     for report in reports:
         bench = report.get("bench", "")
-        if bench in SKIP_BENCHES:
-            continue
         for series in report.get("series", []):
             out[series_key(bench, series)] = series.get("points", [])
     return out
@@ -122,8 +117,23 @@ def self_test():
     perturbed = json.loads(json.dumps(base))
     perturbed[0]["series"][0]["points"][0]["w_us"] = 250.0  # 2.5x: regression
     missing = [{"bench": "b", "params": {}, "env": {}, "series": []}]
-    skipped = json.loads(json.dumps(base))
-    skipped[0]["bench"] = "native_cluster"
+
+    # The native_costs gate: same-run ratios take the generic band, the read
+    # floor the frac_* band, and the ungated raw series stay out of the
+    # baseline, so nothing in them is compared.
+    native_base = [{"bench": "native_costs", "params": {}, "env": {},
+                    "series": [{"name": "ratios", "labels": {},
+                                "points": [{"ratio_mcs_h2_over_tas": 3.5,
+                                            "frac_read_floor_met": 1.0}]}]}]
+    native_drifted = json.loads(json.dumps(native_base))
+    native_drifted[0]["series"][0]["points"][0]["ratio_mcs_h2_over_tas"] = 4.2
+    native_doubled = json.loads(json.dumps(native_base))
+    native_doubled[0]["series"][0]["points"][0]["ratio_mcs_h2_over_tas"] = 7.0
+    native_floor = json.loads(json.dumps(native_base))
+    native_floor[0]["series"][0]["points"][0]["frac_read_floor_met"] = 0.5
+    native_extra = json.loads(json.dumps(native_base))
+    native_extra[0]["series"].append({"name": "pair_ns", "labels": {"op": "tas"},
+                                      "points": [{"median_ns": 1e9}]})
 
     # The hwhy blame gate: lock_wait share of the p99 tail per lock, plus the
     # hmcs-t-strictly-below-coarse indicator.  The indicator collapsing to 0
@@ -173,7 +183,14 @@ def self_test():
              {"name": "s", "labels": {"lock": "mcs"},
               "points": [{"p": 8, "w_us": 100.0,
                           "frac_over_2ms": 0.05}]}]}]) != []),
-        ("native benches are skipped", compare(skipped, missing) == []),
+        ("ratio drifting +20% passes",
+         compare(native_base, native_drifted) == []),
+        ("ratio at 2x fails", compare(native_base, native_doubled) != []),
+        ("read floor falling to 0.5 fails",
+         compare(native_base, native_floor) != []),
+        ("series absent from the baseline is not compared",
+         compare(native_base, native_extra) == []
+         and compare(missing, native_extra) == []),
         ("identical blame series passes", compare(blame_base, blame_same) == []),
         ("lost hmcs-t-below-coarse gate fails",
          compare(blame_base, blame_broken) != []),
