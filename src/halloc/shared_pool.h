@@ -20,6 +20,7 @@
 #include <memory>
 
 #include "src/hlock/algo/backend.h"
+#include "src/hlock/algo/word_lock.h"
 #include "src/hprof/lock_site.h"
 
 namespace halloc {
@@ -33,8 +34,6 @@ class SharedPoolCore {
   using TaskT = typename B::template TaskT<T>;
 
   static constexpr std::uint64_t kNil = 0;
-  static constexpr std::uint64_t kPollBase = 16;
-  static constexpr std::uint64_t kPollCap = 512;
 
   // All pool words -- lock, head, and every link -- are homed at `home`: the
   // unhomed shared pool the slab allocator's per-cluster ranges replace.
@@ -86,47 +85,19 @@ class SharedPoolCore {
   std::uint64_t frees() const { return frees_; }
   std::uint64_t fails() const { return fails_; }
 
-  void set_lock_site(hprof::LockSiteStats* site) { lock_site_ = site; }
-  hprof::LockSiteStats* lock_site() const { return lock_site_; }
+  void set_lock_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* lock_site() const { return probe_.site(); }
 
  private:
   TaskT<void> Lock(Ctx& ctx) {
-    const std::uint64_t wait_start = lock_site_ != nullptr ? b_->Now(ctx) : 0;
-    const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
-    bool contended = false;
-    std::uint64_t delay = kPollBase;
-    while (true) {
-      const bool won = co_await b_->CompareSwap(ctx, lock_, 0, 1,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
-      if (won) {
-        break;
-      }
-      if (lock_site_ != nullptr && !contended) {
-        lock_site_->EnterQueue(cluster);
-      }
-      contended = true;
-      co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-      delay = delay < kPollCap ? delay * 2 : kPollCap;
-    }
-    if (lock_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        lock_site_->LeaveQueue();
-      }
-      lock_site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended,
-                                cluster);
-      hold_start_ = now;
-    }
+    hprof::SiteProbe::Wait wait = probe_.Begin(hlock::algo::ProbeCaller(b_, ctx));
+    co_await hlock::algo::LockWord(b_, ctx, lock_, &probe_, &wait);
+    probe_.Grant(wait, hlock::algo::ProbeCaller(b_, ctx));
   }
 
   TaskT<void> Unlock(Ctx& ctx) {
-    if (lock_site_ != nullptr) {
-      lock_site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
-    co_await b_->Store(ctx, lock_, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
+    probe_.Release(hlock::algo::ProbeCaller(b_, ctx));
+    co_await hlock::algo::UnlockWord(b_, ctx, lock_);
   }
 
   B* b_;
@@ -137,8 +108,7 @@ class SharedPoolCore {
   std::uint64_t allocs_ = 0;
   std::uint64_t frees_ = 0;
   std::uint64_t fails_ = 0;
-  hprof::LockSiteStats* lock_site_ = nullptr;
-  std::uint64_t hold_start_ = 0;
+  hprof::SiteProbe probe_;
 };
 
 }  // namespace halloc

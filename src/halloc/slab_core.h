@@ -46,9 +46,9 @@
 // the nil ref 0, and the caller sees pool exhaustion exactly as it did with
 // the shared free list.
 //
-// Memory orders (the table in DESIGN.md): cache and depot locks are plain
-// CAS(0->1, acquire) / store(0, release) spin locks with the doubling poll
-// backoff of drwlock; every word protected by a lock (magazine counts,
+// Memory orders (the table in DESIGN.md): cache and depot locks are
+// hlock::algo's CAS word lock -- CAS(0->1, acquire) / store(0, release) with
+// the doubling poll backoff; every word protected by a lock (magazine counts,
 // rounds, stack tops, slab cursors, the cache's loaded/previous slots) is
 // accessed relaxed inside the critical section.  The release unlock is what
 // publishes a magazine's contents to the next cache that pops it from the
@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "src/hlock/algo/backend.h"
+#include "src/hlock/algo/word_lock.h"
 #include "src/hprof/lock_site.h"
 
 namespace halloc {
@@ -138,12 +139,6 @@ class SlabAllocatorCore {
   // The nil ref: Alloc's "pool exhausted" result.  Valid refs are
   // 1..capacity().
   static constexpr std::uint64_t kNil = 0;
-
-  // Doubling-delay poll pacing for the lock spins, same constants and
-  // rationale as drwlock: fixed-interval polling of a remote lock word
-  // saturates the very module the release store must land on.
-  static constexpr std::uint64_t kPollBase = 16;
-  static constexpr std::uint64_t kPollCap = 512;
 
   SlabAllocatorCore(B* b, const SlabConfig& cfg)
       : b_(b),
@@ -227,7 +222,7 @@ class SlabAllocatorCore {
   TaskT<std::uint64_t> Alloc(Ctx& ctx) {
     const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
     Cache& cache = caches_[cluster];
-    co_await LockCache(ctx, cache.lock);
+    co_await hlock::algo::LockWord(b_, ctx, cache.lock);
     std::uint64_t loaded =
         co_await b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
     std::uint64_t cnt =
@@ -250,7 +245,7 @@ class SlabAllocatorCore {
       } else {
         // Both magazines empty: depot trip.  Exchange the (empty) loaded
         // magazine for a full one, or carve a fresh slab into it.
-        co_await LockDepot(ctx, cluster);
+        co_await LockDepot(ctx);
         const std::uint64_t full = co_await PopStack(ctx, full_top_);
         if (full != kNil) {
           ++depot_stats_.full_pops;
@@ -270,7 +265,7 @@ class SlabAllocatorCore {
           // magazines: genuine exhaustion, the shared-free-list analogue of
           // an empty list.
           ++cache_stats_[cluster].alloc_fail;
-          co_await UnlockCache(ctx, cache.lock);
+          co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
           co_return kNil;
         }
         ++cache_stats_[cluster].alloc_depot;
@@ -279,7 +274,7 @@ class SlabAllocatorCore {
       ++cache_stats_[cluster].alloc_fast;
     }
     const std::uint64_t ref = co_await PopRound(ctx, mags_[loaded - 1], cnt);
-    co_await UnlockCache(ctx, cache.lock);
+    co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
     if (debug_allocated_ != nullptr) {
       B::Check(debug_allocated_[ref] == 0, "halloc: ref allocated twice");
       debug_allocated_[ref] = 1;
@@ -295,7 +290,7 @@ class SlabAllocatorCore {
     }
     const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
     Cache& cache = caches_[cluster];
-    co_await LockCache(ctx, cache.lock);
+    co_await hlock::algo::LockWord(b_, ctx, cache.lock);
     std::uint64_t loaded =
         co_await b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
     std::uint64_t cnt =
@@ -317,7 +312,7 @@ class SlabAllocatorCore {
         // Both magazines full: hand the full previous to the depot and take
         // an empty back (always available -- see the invariant in the file
         // comment); the old loaded becomes the new previous.
-        co_await LockDepot(ctx, cluster);
+        co_await LockDepot(ctx);
         ++depot_stats_.full_pushes;
         co_await PushStack(ctx, full_top_, prev);
         const std::uint64_t empty = co_await PopStack(ctx, empty_top_);
@@ -334,7 +329,7 @@ class SlabAllocatorCore {
       ++cache_stats_[cluster].free_fast;
     }
     co_await PushRound(ctx, mags_[loaded - 1], cnt, ref);
-    co_await UnlockCache(ctx, cache.lock);
+    co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
   }
 
   // --- introspection / profiling -------------------------------------------
@@ -365,8 +360,8 @@ class SlabAllocatorCore {
   // Attaches the depot lock to hprof (null detaches).  Recording is
   // host-side only: a profiled run is operation-identical to an unprofiled
   // one.  Not thread-safe against concurrent allocator users.
-  void set_depot_site(hprof::LockSiteStats* site) { depot_site_ = site; }
-  hprof::LockSiteStats* depot_site() const { return depot_site_; }
+  void set_depot_site(hprof::LockSiteStats* site) { depot_probe_.set_site(site); }
+  hprof::LockSiteStats* depot_site() const { return depot_probe_.site(); }
 
  private:
   // A magazine: a bounded stack of object refs.  `next` chains it into a
@@ -395,60 +390,14 @@ class SlabAllocatorCore {
     return 0;
   }
 
-  TaskT<void> LockCache(Ctx& ctx, Word& lock) {
-    std::uint64_t delay = kPollBase;
-    while (true) {
-      const bool won = co_await b_->CompareSwap(ctx, lock, 0, 1,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
-      if (won) {
-        co_return;
-      }
-      co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-      delay = delay < kPollCap ? delay * 2 : kPollCap;
-    }
-  }
-
-  TaskT<void> UnlockCache(Ctx& ctx, Word& lock) {
-    co_await b_->Store(ctx, lock, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
-  }
-
-  TaskT<void> LockDepot(Ctx& ctx, std::uint32_t cluster) {
-    const std::uint64_t wait_start = depot_site_ != nullptr ? b_->Now(ctx) : 0;
-    bool contended = false;
-    std::uint64_t delay = kPollBase;
-    while (true) {
-      const bool won = co_await b_->CompareSwap(ctx, depot_lock_, 0, 1,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
-      if (won) {
-        break;
-      }
-      if (depot_site_ != nullptr && !contended) {
-        depot_site_->EnterQueue(cluster);
-      }
-      contended = true;
-      co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-      delay = delay < kPollCap ? delay * 2 : kPollCap;
-    }
-    if (depot_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        depot_site_->LeaveQueue();
-      }
-      depot_site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended,
-                                 cluster);
-      depot_hold_start_ = now;
-    }
+  TaskT<void> LockDepot(Ctx& ctx) {
+    hprof::SiteProbe::Wait wait = depot_probe_.Begin(hlock::algo::ProbeCaller(b_, ctx));
+    co_await hlock::algo::LockWord(b_, ctx, depot_lock_, &depot_probe_, &wait);
+    depot_probe_.Grant(wait, hlock::algo::ProbeCaller(b_, ctx));
   }
 
   TaskT<void> UnlockDepot(Ctx& ctx) {
-    if (depot_site_ != nullptr) {
-      depot_site_->RecordRelease(b_->Now(ctx) - depot_hold_start_);
-    }
+    depot_probe_.Release(hlock::algo::ProbeCaller(b_, ctx));
     std::memory_order mo = std::memory_order_release;
     if (broken_ == AllocBroken::kBrokenDepotRelease) {
       // BUG (deliberate, for hcheck): without the release, the stack-top
@@ -456,8 +405,7 @@ class SlabAllocatorCore {
       // the next depot visitor pops a magazine whose contents it reads stale.
       mo = std::memory_order_relaxed;
     }
-    co_await b_->Store(ctx, depot_lock_, 0, mo);
-    co_await b_->Exec(ctx, 0, 1);
+    co_await hlock::algo::UnlockWord(b_, ctx, depot_lock_, mo);
   }
 
   // Depot magazine stacks.  Callers hold the depot lock, so all accesses are
@@ -559,10 +507,7 @@ class SlabAllocatorCore {
   std::unique_ptr<Word[]> slab_next_;  // per-cluster uncarved-range cursors
   std::vector<CacheStats> cache_stats_;
   DepotStats depot_stats_;
-  hprof::LockSiteStats* depot_site_ = nullptr;
-  // Host-side hold stamp; the depot lock is exclusive, so the single slot is
-  // owner-written.  Touched only when a site is attached.
-  std::uint64_t depot_hold_start_ = 0;
+  hprof::SiteProbe depot_probe_;
   std::unique_ptr<std::uint8_t[]> debug_allocated_;
 };
 

@@ -74,6 +74,14 @@
 //   WithPool(f)                runs f under the backend's node-pool guard
 //   AcquireSpan/EndSpan/ReleaseInstant   lock trace hooks (simulator only)
 //
+// Two things every core shares are written once beside them.  Profiling:
+// a core reports to its hprof site only through an hprof::SiteProbe, the one
+// place the recording rule (wait from the first attempt, one enqueue per
+// contended episode, hold from grant to release) lives; ProbeCaller below is
+// how a core hands the probe its clock and identity.  The CAS word lock
+// (word_lock.h): LockWord/UnlockWord and its doubling PollBackoff are the
+// halloc locks and the drw writer mutex.
+//
 // Each memory has one lock adapter: hlock::NativeLock<Core, Platform>
 // (native_lock.h) runs any core eagerly, natively and under hcheck;
 // hsim::SimLockOf<Core> (src/hsim/locks/sim_lock.h) runs it in the
@@ -105,6 +113,23 @@ namespace hlock::algo {
 // deadline costs nothing in any backend, so a timed acquire with this budget
 // is operation-for-operation identical to the untimed algorithm.
 inline constexpr std::uint64_t kInfiniteBudget = ~std::uint64_t{0};
+
+// One backend caller as hprof::SiteProbe sees it.  The probe asks only while
+// a site is attached, so the clock read and the cluster lookup cost nothing
+// on a detached lock.
+template <class B>
+class ProbeCaller {
+ public:
+  ProbeCaller(B* b, typename B::Ctx& ctx) : b_(b), ctx_(ctx) {}
+
+  std::uint64_t Now() const { return b_->Now(ctx_); }
+  std::uint32_t Owner() const { return b_->CtxId(ctx_); }
+  std::uint32_t Cluster() const { return b_->ClusterOfCtx(b_->CtxId(ctx_)); }
+
+ private:
+  B* b_;
+  typename B::Ctx& ctx_;
+};
 
 // An already-available value, awaitable without suspending.  The native
 // backend returns these from every operation, so an algorithm coroutine runs

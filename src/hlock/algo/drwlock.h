@@ -54,6 +54,7 @@
 #include <string>
 
 #include "src/hlock/algo/backend.h"
+#include "src/hlock/algo/word_lock.h"
 #include "src/hprof/lock_site.h"
 
 namespace hlock::algo {
@@ -77,14 +78,6 @@ class DrwLockCore {
   template <typename T>
   using TaskT = typename B::template TaskT<T>;
 
-  // Doubling-delay poll pacing (backend time units) for waits whose length is
-  // another context's hold: the reader's flag wait, the writer's sweep, and
-  // the writer-mutex spin.  Fixed-interval polling of a *remote* word keeps
-  // its home memory module saturated -- delaying the very store or decrement
-  // being waited for -- so these waits back off like Figure 3c's spin lock.
-  static constexpr std::uint64_t kPollBase = 16;
-  static constexpr std::uint64_t kPollCap = 512;
-
   // `home` places the writer-side words (flag + writer mutex); each cluster's
   // reader counter is homed at that cluster's first context's module, which
   // is what makes the reader fast path local in the simulator.
@@ -97,7 +90,7 @@ class DrwLockCore {
         num_clusters_(b->NumClusters()),
         counters_(new PaddedWord[b->NumClusters()]),
         name_("drwlock"),
-        reader_hold_start_(new std::uint64_t[b->NumCtxs()]()) {
+        readers_(new hprof::SiteProbe[b->NumCtxs()]) {
     b_->InitWord(wflag_, home, 0);
     b_->InitWord(wmutex_, home, 0);
     for (std::uint32_t c = 0; c < num_clusters_; ++c) {
@@ -110,11 +103,11 @@ class DrwLockCore {
   // --- reader side ----------------------------------------------------------
 
   TaskT<void> AcquireShared(Ctx& ctx) {
-    const std::uint64_t wait_start = reader_site_ != nullptr ? b_->Now(ctx) : 0;
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
+    hprof::SiteProbe& probe = readers_[id];
+    hprof::SiteProbe::Wait wait = probe.Begin(ProbeCaller(b_, ctx));
     Word& counter = counters_[cluster].w;
-    bool contended = false;
     while (true) {
       co_await BumpReader(ctx, counter);
       const std::uint64_t flag =
@@ -132,11 +125,8 @@ class DrwLockCore {
         // reader whose increment we just erased.
         co_await DropReader(ctx, counter, std::memory_order_release);
       }
-      if (reader_site_ != nullptr && !contended) {
-        reader_site_->EnterQueue(cluster);
-      }
-      contended = true;
-      std::uint64_t delay = kPollBase;
+      probe.Contend(wait, ProbeCaller(b_, ctx));
+      PollBackoff poll;
       while (true) {
         const std::uint64_t f =
             co_await b_->Load(ctx, wflag_, std::memory_order_relaxed);
@@ -147,18 +137,10 @@ class DrwLockCore {
         // Doubling delay, not fixed-interval polling: the flag's home module
         // also serves the writer's release store, and every waiting reader is
         // polling the same word.
-        co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-        delay = delay < kPollCap ? delay * 2 : kPollCap;
+        co_await poll.Step(b_, ctx);
       }
     }
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      if (contended) {
-        reader_site_->LeaveQueue();
-      }
-      reader_site_->RecordAcquire(id, now - wait_start, contended, cluster);
-      reader_hold_start_[id] = now;
-    }
+    probe.Grant(wait, ProbeCaller(b_, ctx));
   }
 
   // No-spin reader entry for handler context: false if a writer holds or is
@@ -175,19 +157,13 @@ class DrwLockCore {
       co_await DropReader(ctx, counter, std::memory_order_release);
       co_return false;
     }
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      reader_site_->RecordAcquire(id, 0, /*contended=*/false, cluster);
-      reader_hold_start_[id] = now;
-    }
+    readers_[id].GrantAtOnce(ProbeCaller(b_, ctx));
     co_return true;
   }
 
   TaskT<void> ReleaseShared(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
-    if (reader_site_ != nullptr) {
-      reader_site_->RecordRelease(b_->Now(ctx) - reader_hold_start_[id]);
-    }
+    readers_[id].Release(ProbeCaller(b_, ctx));
     co_await DropReader(ctx, counters_[b_->ClusterOfCtx(id)].w,
                         std::memory_order_release);
   }
@@ -198,25 +174,9 @@ class DrwLockCore {
 
   TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    bool contended = false;
-    std::uint64_t delay = kPollBase;
-    while (true) {
-      const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
-      if (won) {
-        break;
-      }
-      if (writer_site_ != nullptr && !contended) {
-        writer_site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-      }
-      contended = true;
-      co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-      delay = delay < kPollCap ? delay * 2 : kPollCap;
-    }
-    co_await WriterArriveTimed(ctx, wait_start, contended);
+    hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
+    co_await LockWord(b_, ctx, wmutex_, &writer_, &wait);
+    co_await WriterArriveTimed(ctx, wait);
     b_->EndSpan(ctx, span);
   }
 
@@ -241,16 +201,12 @@ class DrwLockCore {
         co_return false;
       }
     }
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, b_->Now(ctx), /*contended=*/false);
-    }
+    writer_.GrantAtOnce(ProbeCaller(b_, ctx));
     co_return true;
   }
 
   TaskT<void> Release(Ctx& ctx) {
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+    writer_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
@@ -263,14 +219,12 @@ class DrwLockCore {
   // *readers*.
 
   TaskT<void> WriterArrive(Ctx& ctx) {
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    co_await WriterArriveTimed(ctx, wait_start, /*contended=*/false);
+    const hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
+    co_await WriterArriveTimed(ctx, wait);
   }
 
   TaskT<void> WriterDepart(Ctx& ctx) {
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+    writer_.Release(ProbeCaller(b_, ctx));
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Exec(ctx, 0, 1);
   }
@@ -289,24 +243,18 @@ class DrwLockCore {
     if (!won) {
       co_return false;
     }
-    const std::uint64_t wait_start = writer_site_ != nullptr ? b_->Now(ctx) : 0;
-    if (reader_site_ != nullptr) {
-      const std::uint32_t id = b_->CtxId(ctx);
-      reader_site_->RecordRelease(b_->Now(ctx) - reader_hold_start_[id]);
-    }
+    const std::uint32_t id = b_->CtxId(ctx);
+    const std::uint32_t cluster = b_->ClusterOfCtx(id);
+    hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
+    readers_[id].Release(ProbeCaller(b_, ctx));
     co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     // Drop our own read count *after* the flag is up: between the drop and
     // the sweep no new reader can slip in, so the sweep's zero is ours to
     // take exclusively.
-    co_await DropReader(ctx, counters_[b_->ClusterOfCtx(b_->CtxId(ctx))].w,
-                        std::memory_order_release);
-    if (writer_site_ != nullptr) {
-      writer_site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-    }
+    co_await DropReader(ctx, counters_[cluster].w, std::memory_order_release);
+    writer_.Contend(wait, ProbeCaller(b_, ctx));
     co_await Sweep(ctx);
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, wait_start, /*contended=*/true);
-    }
+    writer_.Grant(wait, ProbeCaller(b_, ctx));
     co_return true;
   }
 
@@ -315,15 +263,9 @@ class DrwLockCore {
   // arrives next sweeps into our read hold and waits.
   TaskT<void> Downgrade(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
-    if (writer_site_ != nullptr) {
-      writer_site_->RecordRelease(b_->Now(ctx) - writer_hold_start_);
-    }
+    writer_.Release(ProbeCaller(b_, ctx));
     co_await BumpReader(ctx, counters_[b_->ClusterOfCtx(id)].w);
-    if (reader_site_ != nullptr) {
-      const std::uint64_t now = b_->Now(ctx);
-      reader_site_->RecordAcquire(id, 0, /*contended=*/false, b_->ClusterOfCtx(id));
-      reader_hold_start_[id] = now;
-    }
+    readers_[id].GrantAtOnce(ProbeCaller(b_, ctx));
     co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
     co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
   }
@@ -339,15 +281,17 @@ class DrwLockCore {
   // host-side only, so a profiled run is operation-identical to an
   // unprofiled one.  Not thread-safe against concurrent lock users.
   void set_sites(hprof::LockSiteStats* reader_site, hprof::LockSiteStats* writer_site) {
-    reader_site_ = reader_site;
-    writer_site_ = writer_site;
+    for (std::uint32_t id = 0; id < b_->NumCtxs(); ++id) {
+      readers_[id].set_site(reader_site);
+    }
+    writer_.set_site(writer_site);
   }
-  hprof::LockSiteStats* reader_site() const { return reader_site_; }
-  hprof::LockSiteStats* writer_site() const { return writer_site_; }
+  hprof::LockSiteStats* reader_site() const { return readers_[0].site(); }
+  hprof::LockSiteStats* writer_site() const { return writer_.site(); }
   // The single-site interface every core has: the writer side, which is the
   // side Acquire/Release drive.
-  void set_site(hprof::LockSiteStats* site) { writer_site_ = site; }
-  hprof::LockSiteStats* site() const { return writer_site_; }
+  void set_site(hprof::LockSiteStats* site) { writer_.set_site(site); }
+  hprof::LockSiteStats* site() const { return writer_.site(); }
 
  private:
   // One counter per cluster, each on its own cache line: the whole point is
@@ -410,7 +354,7 @@ class DrwLockCore {
       first = 1;
     }
     for (std::uint32_t c = first; c < num_clusters_; ++c) {
-      std::uint64_t delay = kPollBase;
+      PollBackoff poll;
       while (true) {
         const std::uint64_t readers =
             co_await b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
@@ -420,13 +364,13 @@ class DrwLockCore {
         }
         // Back off between polls: the sweep's loads occupy the counter's home
         // module, which is exactly where the drain decrements must land.
-        co_await b_->BackoffUnits(ctx, delay, delay >= kPollCap);
-        delay = delay < kPollCap ? delay * 2 : kPollCap;
+        co_await poll.Step(b_, ctx);
       }
     }
   }
 
-  TaskT<void> WriterArriveTimed(Ctx& ctx, std::uint64_t wait_start, bool contended) {
+  // Raises the flag and sweeps; the writer is granted once the sweep is done.
+  TaskT<void> WriterArriveTimed(Ctx& ctx, const hprof::SiteProbe::Wait& wait) {
     if (preference_ == DrwPreference::kReaders) {
       // Flagless pre-drain: readers arriving now are admitted ahead of us.
       // Only once the population hits zero does the flag go up, so the
@@ -435,19 +379,7 @@ class DrwLockCore {
     }
     co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     co_await Sweep(ctx);
-    if (writer_site_ != nullptr) {
-      RecordWriterGrant(ctx, wait_start, contended);
-    }
-  }
-
-  void RecordWriterGrant(Ctx& ctx, std::uint64_t wait_start, bool contended) {
-    const std::uint64_t now = b_->Now(ctx);
-    const std::uint32_t id = b_->CtxId(ctx);
-    if (contended) {
-      writer_site_->LeaveQueue();
-    }
-    writer_site_->RecordAcquire(id, now - wait_start, contended, b_->ClusterOfCtx(id));
-    writer_hold_start_ = now;
+    writer_.Grant(wait, ProbeCaller(b_, ctx));
   }
 
   B* b_;
@@ -458,13 +390,11 @@ class DrwLockCore {
   Word wmutex_;  // writer/writer exclusion for the standalone write path
   std::unique_ptr<PaddedWord[]> counters_;  // per-cluster reader populations
   std::string name_;
-  hprof::LockSiteStats* reader_site_ = nullptr;
-  hprof::LockSiteStats* writer_site_ = nullptr;
-  // Host-side hold timing, touched only when a site is attached.  Readers
-  // hold concurrently, so grant stamps are per-context (each slot written by
-  // its own context); the writer stamp is owner-written under the lock.
-  std::unique_ptr<std::uint64_t[]> reader_hold_start_;
-  std::uint64_t writer_hold_start_ = 0;
+  // Readers hold concurrently, so each context has its own reader probe (its
+  // hold stamp written by that context only); the writer probe's stamp is
+  // owner-written under the lock.
+  std::unique_ptr<hprof::SiteProbe[]> readers_;
+  hprof::SiteProbe writer_;
 };
 
 }  // namespace hlock::algo

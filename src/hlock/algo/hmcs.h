@@ -87,7 +87,7 @@ class HmcsTCore {
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
+    hprof::SiteProbe::Wait wait = probe_.Begin(ProbeCaller(b_, ctx));
 
     typename Level::Grant local = co_await locals_[cluster]->Acquire(ctx, deadline);
     if (local.node == 0) {
@@ -98,7 +98,8 @@ class HmcsTCore {
     if (local.token == Level::kGrantedInherit) {
       // The previous same-cluster holder passed the global lock along with
       // the local one: the whole acquire was one intra-cluster handoff.
-      Finish(ctx, wait_start, /*contended=*/true, cluster);
+      probe_.Contend(wait, ProbeCaller(b_, ctx));
+      probe_.Grant(wait, ProbeCaller(b_, ctx));
       b_->EndSpan(ctx, span);
       co_return true;
     }
@@ -114,7 +115,10 @@ class HmcsTCore {
     }
     global_node_[cluster].value = global.node;
     co_await b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
-    Finish(ctx, wait_start, local.contended || global.contended, cluster);
+    if (local.contended || global.contended) {
+      probe_.Contend(wait, ProbeCaller(b_, ctx));
+    }
+    probe_.Grant(wait, ProbeCaller(b_, ctx));
     b_->EndSpan(ctx, span);
     co_return true;
   }
@@ -130,9 +134,7 @@ class HmcsTCore {
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     std::uint64_t node = local_node_[id].value;
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
 
     const std::uint64_t streak =
@@ -178,23 +180,10 @@ class HmcsTCore {
   // The wait/contention sample covers the whole two-level acquire; queue
   // residency is recorded as an instantaneous enqueue+leave at grant time
   // (per-level residency belongs to the level locks, not to this composite).
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
-  void Finish(Ctx& ctx, std::uint64_t wait_start, bool contended, std::uint32_t cluster) {
-    if (site_ == nullptr) {
-      return;
-    }
-    const std::uint64_t now = b_->Now(ctx);
-    if (contended) {
-      site_->EnterQueue(cluster);
-      site_->LeaveQueue();
-    }
-    site_->RecordAcquire(b_->CtxId(ctx), now - wait_start, contended, cluster);
-    hold_start_ = now;
-  }
-
   B* b_;
   std::uint64_t threshold_;
   std::string name_;
@@ -204,8 +193,7 @@ class HmcsTCore {
   // Host-side handles, carried across handoffs by the grant chain's ordering.
   std::unique_ptr<Padded<std::uint64_t>[]> global_node_;  // per cluster
   std::unique_ptr<Padded<std::uint64_t>[]> local_node_;   // per caller
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
 };
 
 }  // namespace hlock::algo

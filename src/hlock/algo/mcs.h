@@ -96,7 +96,7 @@ class McsCore {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
     Node& node = nodes_[me - 1];
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
+    hprof::SiteProbe::Wait wait = probe_.Begin(ProbeCaller(b_, ctx));
 
     if (variant_ == McsVariant::kOriginal) {
       // I->next := nil  -- hoisted out of the critical path by modification H1.
@@ -108,17 +108,13 @@ class McsCore {
     // Compare predecessor against nil, branch, return (uncontended exit).
     co_await b_->Exec(ctx, 1, 2);
     if (pred == kNil) {
-      if (site_ != nullptr) {
-        RecordGrant(ctx, wait_start, /*contended=*/false);
-      }
+      probe_.Grant(wait, ProbeCaller(b_, ctx));
       b_->EndSpan(ctx, span);
       co_return;
     }
 
     // Contended path: link behind the predecessor and spin on our own node.
-    if (site_ != nullptr) {
-      site_->EnterQueue(b_->ClusterOfCtx(me - 1));
-    }
+    probe_.Contend(wait, ProbeCaller(b_, ctx));
     if (variant_ == McsVariant::kOriginal) {
       // I->locked := true.  H1/H2 keep the flag pre-set at rest.
       co_await b_->Store(ctx, node.locked, 1, std::memory_order_relaxed);
@@ -144,19 +140,14 @@ class McsCore {
       // handoff chain under contention.
       b_->PostStore(ctx, node.locked, 1);
     }
-    if (site_ != nullptr) {
-      site_->LeaveQueue();
-      RecordGrant(ctx, wait_start, /*contended=*/true);
-    }
+    probe_.Grant(wait, ProbeCaller(b_, ctx));
     b_->EndSpan(ctx, span);
   }
 
   TaskT<void> Release(Ctx& ctx) {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
     Node& node = nodes_[me - 1];
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
 
     std::uint64_t succ = kNil;
@@ -218,8 +209,8 @@ class McsCore {
     const bool taken = co_await b_->CompareSwap(ctx, tail_, kNil, me,
                                                std::memory_order_acq_rel,
                                                std::memory_order_acquire);
-    if (taken && site_ != nullptr) {
-      RecordGrant(ctx, b_->Now(ctx), /*contended=*/false);
+    if (taken) {
+      probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
     co_return taken;
   }
@@ -232,8 +223,8 @@ class McsCore {
 
   // Attaches a profiling site (null detaches); recording is host-side only,
   // so a profiled run is operation-identical to an unprofiled one.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
   struct alignas(kCacheLineSize) Node {
@@ -241,21 +232,13 @@ class McsCore {
     typename B::Word locked;  // 1 while the owner must wait
   };
 
-  void RecordGrant(Ctx& ctx, std::uint64_t wait_start, bool contended) {
-    const std::uint64_t now = b_->Now(ctx);
-    const std::uint32_t id = b_->CtxId(ctx);
-    site_->RecordAcquire(id, now - wait_start, contended, b_->ClusterOfCtx(id));
-    hold_start_ = now;
-  }
-
   B* b_;
   McsVariant variant_;
   std::string name_;
   typename B::Word tail_;  // caller id + 1 of the queue tail, or 0 (free)
   std::unique_ptr<Node[]> nodes_;
   std::atomic<std::uint64_t> repairs_{0};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
 };
 
 }  // namespace hlock::algo

@@ -49,17 +49,15 @@ class SpinCore {
 
   TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
-    const std::uint64_t wait_start = site_ != nullptr ? b_->Now(ctx) : 0;
-    bool queued = false;
+    hprof::SiteProbe::Wait wait = probe_.Begin(ProbeCaller(b_, ctx));
     // First attempt: test_and_set; then the uncontended exit charges the
     // delay-register init, the test branch and the return (Figure 4: Spin
     // row, acquire half).
     std::uint64_t old = co_await b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
     co_await b_->Exec(ctx, 1, 2);
     std::uint64_t delay = base_backoff_;
-    if (site_ != nullptr && old == kLocked) {
-      site_->EnterQueue(b_->ClusterOfCtx(b_->CtxId(ctx)));
-      queued = true;
+    if (old == kLocked) {
+      probe_.Contend(wait, ProbeCaller(b_, ctx));
     }
     while (old == kLocked) {
       // Back off without generating memory traffic, then retry the swap.  As
@@ -73,22 +71,12 @@ class SpinCore {
       co_await b_->Exec(ctx, 1, 1);
     }
     acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    if (site_ != nullptr) {
-      if (queued) {
-        site_->LeaveQueue();
-      }
-      const std::uint64_t now = b_->Now(ctx);
-      const std::uint32_t id = b_->CtxId(ctx);
-      site_->RecordAcquire(id, now - wait_start, queued, b_->ClusterOfCtx(id));
-      hold_start_ = now;
-    }
+    probe_.Grant(wait, ProbeCaller(b_, ctx));
     b_->EndSpan(ctx, span);
   }
 
   TaskT<void> Release(Ctx& ctx) {
-    if (site_ != nullptr) {
-      site_->RecordRelease(b_->Now(ctx) - hold_start_);
-    }
+    probe_.Release(ProbeCaller(b_, ctx));
     // HECTOR has no plain way to order an uncached store after the critical
     // section's accesses, so the release is also a swap (counted atomic).
     co_await b_->FetchStore(ctx, word_, kUnlocked, std::memory_order_release);
@@ -103,12 +91,7 @@ class SpinCore {
     const bool taken = old == kUnlocked;
     if (taken) {
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      if (site_ != nullptr) {
-        const std::uint64_t now = b_->Now(ctx);
-        const std::uint32_t id = b_->CtxId(ctx);
-        site_->RecordAcquire(id, 0, /*contended=*/false, b_->ClusterOfCtx(id));
-        hold_start_ = now;
-      }
+      probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
     co_return taken;
   }
@@ -120,8 +103,8 @@ class SpinCore {
   std::uint64_t acquisitions() const { return acquisitions_.load(std::memory_order_relaxed); }
   std::uint64_t retries() const { return retries_.load(std::memory_order_relaxed); }
 
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
-  hprof::LockSiteStats* site() const { return site_; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  hprof::LockSiteStats* site() const { return probe_.site(); }
 
  private:
   B* b_;
@@ -131,8 +114,7 @@ class SpinCore {
   std::string name_;
   std::atomic<std::uint64_t> acquisitions_{0};
   std::atomic<std::uint64_t> retries_{0};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
 };
 
 }  // namespace hlock::algo

@@ -41,56 +41,39 @@ class TasSpinLock {
 class TtasSpinLock {
  public:
   void lock() {
-    const std::uint64_t t0 =
-        site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    bool contended = false;
-    while (true) {
-      if (!locked_.exchange(true, std::memory_order_acquire)) {
-        break;
-      }
-      if (site_ != nullptr && !contended) {
-        site_->EnterQueue();
-      }
-      contended = true;
+    hprof::SiteProbe::Wait wait = probe_.Begin(kCaller);
+    while (locked_.exchange(true, std::memory_order_acquire)) {
+      probe_.Contend(wait, kCaller);
       while (locked_.load(std::memory_order_relaxed)) {
         CpuRelax();
       }
     }
-    if (site_ != nullptr) {
-      if (contended) {
-        site_->LeaveQueue();
-      }
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      site_->RecordAcquire(CurrentThreadId(), now - t0, contended);
-      hold_start_ = now;
-    }
+    probe_.Grant(wait, kCaller);
   }
 
   bool try_lock() {
     const bool taken = !locked_.load(std::memory_order_relaxed) &&
                        !locked_.exchange(true, std::memory_order_acquire);
-    if (taken && site_ != nullptr) {
-      hold_start_ = hprof::LockSiteStats::NowTicks();
-      site_->RecordAcquire(CurrentThreadId(), 0, /*contended=*/false);
+    if (taken) {
+      probe_.GrantAtOnce(kCaller);
     }
     return taken;
   }
 
   void unlock() {
-    if (site_ != nullptr) {
-      site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-    }
+    probe_.Release(kCaller);
     locked_.store(false, std::memory_order_release);
   }
 
   // Attaches a profiling site (null detaches); wait/hold samples are host
   // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
 
  private:
+  static constexpr hprof::HostCaller kCaller{&CurrentThreadId};
+
   std::atomic<bool> locked_{false};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
 };
 
 }  // namespace hlock

@@ -51,6 +51,8 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/hlock/algo/drwlock.h"
@@ -89,11 +91,13 @@ class HybridTable {
   static constexpr std::uint64_t kMaxBackoff = 1024;
 
   // `procs_per_cluster` maps dense thread ids onto clusters for the
-  // distributed read path's per-cluster counters and for hprof attribution
-  // (1 = every thread its own cluster, the conservative default).
+  // distributed read path's per-cluster counters and for hprof attribution,
+  // the coarse lock's included when it can be built on a cluster map (1 =
+  // every thread its own cluster, the conservative default).
   explicit HybridTable(std::size_t num_buckets = 128, std::uint32_t procs_per_cluster = 1,
                        ReadPath read_path = ReadPath::kDistributed)
-      : backend_(procs_per_cluster),
+      : lock_(MakeCoarseLock(procs_per_cluster)),
+        backend_(procs_per_cluster),
         chain_drw_(&backend_),
         read_path_(read_path),
         buckets_(num_buckets, nullptr) {}
@@ -101,22 +105,20 @@ class HybridTable {
   HybridTable& operator=(const HybridTable&) = delete;
 
   // Exclusive ownership of one entry.  Movable; releases on destruction.
-  // Each guard carries its own grant timestamp: many entries are reserved
-  // concurrently, so hold timing cannot live in the (shared) profiling site.
+  // Each guard carries its own site probe: many entries are reserved
+  // concurrently, so the hold's grant stamp cannot live in a shared probe.
   class ExclusiveGuard {
    public:
     ExclusiveGuard() = default;
     ExclusiveGuard(ExclusiveGuard&& other) noexcept
         : table_(std::exchange(other.table_, nullptr)),
           entry_(std::exchange(other.entry_, nullptr)),
-          site_(std::exchange(other.site_, nullptr)),
-          hold_start_(other.hold_start_) {}
+          probe_(std::exchange(other.probe_, hprof::SiteProbe())) {}
     ExclusiveGuard& operator=(ExclusiveGuard&& other) noexcept {
       Release();
       table_ = std::exchange(other.table_, nullptr);
       entry_ = std::exchange(other.entry_, nullptr);
-      site_ = std::exchange(other.site_, nullptr);
-      hold_start_ = other.hold_start_;
+      probe_ = std::exchange(other.probe_, hprof::SiteProbe());
       return *this;
     }
     ~ExclusiveGuard() { Release(); }
@@ -129,12 +131,9 @@ class HybridTable {
     // Releases the reservation early.
     void Release() {
       if (entry_ != nullptr) {
-        if (site_ != nullptr) {
-          site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-          site_ = nullptr;
-        }
-        // Exclusive clear needs no lock and no read-modify-write.
         typename Backend::Ctx ctx{Platform::ThreadId()};
+        probe_.Release(algo::ProbeCaller(&table_->backend_, ctx));
+        // Exclusive clear needs no lock and no read-modify-write.
         Reserve::ClearExclusive(table_->backend_, ctx, entry_->reserve).Get();
         entry_ = nullptr;
         table_ = nullptr;
@@ -143,12 +142,12 @@ class HybridTable {
 
    private:
     friend class HybridTable;
-    ExclusiveGuard(HybridTable* table, typename HybridTable::Entry* entry)
-        : table_(table), entry_(entry) {}
+    ExclusiveGuard(HybridTable* table, typename HybridTable::Entry* entry,
+                   hprof::LockSiteStats* site)
+        : table_(table), entry_(entry), probe_(site) {}
     HybridTable* table_ = nullptr;
     typename HybridTable::Entry* entry_ = nullptr;
-    hprof::LockSiteStats* site_ = nullptr;
-    std::uint64_t hold_start_ = 0;
+    hprof::SiteProbe probe_;
   };
 
   // Shared (reader) hold of one entry.
@@ -201,10 +200,10 @@ class HybridTable {
   // Exclusively reserves the entry for `key`, creating it (default V) if
   // absent.  Spins (coarse lock dropped) while the entry is reserved.
   ExclusiveGuard Acquire(const K& key) {
-    const std::uint64_t t0 =
-        reserve_site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    bool contended = false;
     typename Backend::Ctx ctx{Platform::ThreadId()};
+    // This acquire's wait; the grant opens the hold on the guard's own probe.
+    const hprof::SiteProbe waiting(reserve_site_);
+    hprof::SiteProbe::Wait wait = waiting.Begin(algo::ProbeCaller(&backend_, ctx));
     typename Reserve::Backoff bo;  // one logical acquire, one doubling delay
     while (true) {
       Entry* wait_target = nullptr;
@@ -215,17 +214,14 @@ class HybridTable {
           entry = InsertGuarded(ctx, key);
         }
         if (Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
-          return GrantExclusive(entry, t0, contended);
+          return GrantExclusive(ctx, entry, &wait);
         }
         wait_target = entry;
       }
       // Reserved by someone else: spin outside the coarse lock, then retry
       // the search (the entry may have been erased and recycled meanwhile;
       // type-stable memory keeps the spin safe).
-      if (reserve_site_ != nullptr && !contended) {
-        reserve_site_->EnterQueue(backend_.ClusterOfCtx(backend_.CtxId(ctx)));
-      }
-      contended = true;
+      waiting.Contend(wait, algo::ProbeCaller(&backend_, ctx));
       Reserve::SpinUntilFree(backend_, ctx, wait_target->reserve, kMaxBackoff, bo).Get();
     }
   }
@@ -242,7 +238,7 @@ class HybridTable {
     if (!Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
       return ExclusiveGuard();
     }
-    return GrantExclusive(entry, /*wait_start=*/0, /*contended=*/false);
+    return GrantExclusive(ctx, entry, /*wait=*/nullptr);
   }
 
   // Shared (reader) reserve; spins while exclusively reserved.
@@ -422,20 +418,24 @@ class HybridTable {
     Entry* next = nullptr;
   };
 
-  // Builds a granted guard, recording the acquisition when profiled.
-  // `wait_start` == 0 means "no wait was timed" (TryAcquire's instant grab).
-  ExclusiveGuard GrantExclusive(Entry* entry, std::uint64_t wait_start, bool contended) {
-    ExclusiveGuard guard(this, entry);
-    if (reserve_site_ != nullptr) {
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      if (contended) {
-        reserve_site_->LeaveQueue();
-      }
-      const std::uint32_t id = Platform::ThreadId();
-      reserve_site_->RecordAcquire(id, wait_start != 0 ? now - wait_start : 0, contended,
-                                   backend_.ClusterOfCtx(id));
-      guard.site_ = reserve_site_;
-      guard.hold_start_ = now;
+  static CoarseLock MakeCoarseLock(std::uint32_t procs_per_cluster) {
+    if constexpr (std::is_constructible_v<CoarseLock, std::uint32_t>) {
+      return CoarseLock(procs_per_cluster);
+    } else {
+      return CoarseLock();
+    }
+  }
+
+  // Builds a granted guard, recording the acquisition when profiled.  A null
+  // `wait` is TryAcquire's instant grab.
+  ExclusiveGuard GrantExclusive(typename Backend::Ctx& ctx, Entry* entry,
+                                const hprof::SiteProbe::Wait* wait) {
+    ExclusiveGuard guard(this, entry, reserve_site_);
+    const algo::ProbeCaller caller(&backend_, ctx);
+    if (wait != nullptr) {
+      guard.probe_.Grant(*wait, caller);
+    } else {
+      guard.probe_.GrantAtOnce(caller);
     }
     return guard;
   }

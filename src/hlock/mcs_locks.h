@@ -70,34 +70,21 @@ class BasicMcsLock {
   }
 
   void lock(QNode& node) {
-    const std::uint64_t t0 =
-        site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    const bool immediate = Enqueue(node);
-    if (!immediate) {
-      if (site_ != nullptr) {
-        site_->EnterQueue();
-      }
+    hprof::SiteProbe::Wait wait = probe_.Begin(kCaller);
+    if (!Enqueue(node)) {
+      probe_.Contend(wait, kCaller);
       WaitForGrant(node);
-      if (site_ != nullptr) {
-        site_->LeaveQueue();
-      }
     }
-    if (site_ != nullptr) {
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      site_->RecordAcquire(Platform::ThreadId(), now - t0, !immediate);
-      hold_start_ = now;
-    }
+    probe_.Grant(wait, kCaller);
   }
 
   // Attaches a profiling site (null detaches); wait/hold samples are host
   // nanoseconds.  Only lock()/unlock() record -- callers driving the split
   // Enqueue/WaitForGrant protocol directly are not profiled.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
 
   void unlock(QNode& node) {
-    if (site_ != nullptr) {
-      site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-    }
+    probe_.Release(kCaller);
     QNode* succ = node.next.load(std::memory_order_acquire);
     if (succ == nullptr) {
       QNode* expected = &node;
@@ -114,9 +101,10 @@ class BasicMcsLock {
   }
 
  private:
+  static constexpr hprof::HostCaller kCaller{&Platform::ThreadId};
+
   typename Platform::template Atomic<QNode*> tail_{nullptr};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
 };
 
 using McsLock = BasicMcsLock<>;
@@ -129,13 +117,15 @@ namespace internal {
 // model-checked memory via hcheck::Platform).  The variant is a constructor
 // argument of the core; this binds it at compile time, so McsH1Lock and
 // McsH2Lock default-construct (std::array<McsH2Lock, N> relies on that).
+// `procs_per_cluster` maps thread ids onto clusters for hprof's handoff
+// classification (1, the default, makes every owner change cross-cluster).
 template <class Platform, bool kCheckSuccessor>
 class HurricaneMcsLock : public NativeLock<algo::McsCore, Platform> {
  public:
-  HurricaneMcsLock()
+  HurricaneMcsLock() : HurricaneMcsLock(1) {}
+  explicit HurricaneMcsLock(std::uint32_t procs_per_cluster)
       : NativeLock<algo::McsCore, Platform>(
-            /*procs_per_cluster=*/1,
-            kCheckSuccessor ? algo::McsVariant::kH1 : algo::McsVariant::kH2) {}
+            procs_per_cluster, kCheckSuccessor ? algo::McsVariant::kH1 : algo::McsVariant::kH2) {}
 };
 
 }  // namespace internal

@@ -66,7 +66,7 @@ class BasicMcsTryV1Lock {
                     "McsTryV1Lock::lock re-entered while this thread's node is in "
                     "use; interrupt contexts must use LockFromInterrupt");
     node.in_use.store(true, std::memory_order_relaxed);  // common-path cost
-    ProfiledEnqueue(node);
+    Enqueue(node);
   }
 
   // Interrupt-safe acquire: fails only when this thread's node is already in
@@ -79,21 +79,19 @@ class BasicMcsTryV1Lock {
                                              std::memory_order_relaxed)) {
       return false;
     }
-    ProfiledEnqueue(node);
+    Enqueue(node);
     return true;
   }
 
   // Attaches a profiling site (null detaches); wait/hold samples are host
   // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { site_ = site; }
+  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
 
   void unlock() {
     QNode& node = *nodes_[Platform::ThreadId()];
     Platform::Check(node.in_use.load(std::memory_order_relaxed),
                     "McsTryV1Lock::unlock without a matching lock on this thread");
-    if (site_ != nullptr) {
-      site_->RecordRelease(hprof::LockSiteStats::NowTicks() - hold_start_);
-    }
+    probe_.Release(kCaller);
     QNode* succ = node.next.load(std::memory_order_acquire);
     if (succ == nullptr) {
       QNode* expected = &node;
@@ -122,41 +120,26 @@ class BasicMcsTryV1Lock {
     typename Platform::template Atomic<bool> in_use{false};
   };
 
-  // Returns true when the lock was free (no predecessor).
-  bool Enqueue(QNode& node) {
+  // Enqueues and waits for the grant.
+  void Enqueue(QNode& node) {
+    hprof::SiteProbe::Wait wait = probe_.Begin(kCaller);
     QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-    if (pred == nullptr) {
-      return true;
+    if (pred != nullptr) {
+      probe_.Contend(wait, kCaller);
+      pred->next.store(&node, std::memory_order_release);
+      typename Platform::Backoff backoff;
+      while (node.locked.load(std::memory_order_acquire)) {
+        backoff.Pause();
+      }
+      node.locked.store(true, std::memory_order_relaxed);
     }
-    if (site_ != nullptr) {
-      site_->EnterQueue();
-    }
-    pred->next.store(&node, std::memory_order_release);
-    typename Platform::Backoff backoff;
-    while (node.locked.load(std::memory_order_acquire)) {
-      backoff.Pause();
-    }
-    node.locked.store(true, std::memory_order_relaxed);
-    if (site_ != nullptr) {
-      site_->LeaveQueue();
-    }
-    return false;
+    probe_.Grant(wait, kCaller);
   }
 
-  void ProfiledEnqueue(QNode& node) {
-    const std::uint64_t t0 =
-        site_ != nullptr ? hprof::LockSiteStats::NowTicks() : 0;
-    const bool immediate = Enqueue(node);
-    if (site_ != nullptr) {
-      const std::uint64_t now = hprof::LockSiteStats::NowTicks();
-      site_->RecordAcquire(Platform::ThreadId(), now - t0, !immediate);
-      hold_start_ = now;
-    }
-  }
+  static constexpr hprof::HostCaller kCaller{&Platform::ThreadId};
 
   typename Platform::template Atomic<QNode*> tail_{nullptr};
-  hprof::LockSiteStats* site_ = nullptr;
-  std::uint64_t hold_start_ = 0;  // owner-written only (protected by the lock)
+  hprof::SiteProbe probe_;
   Padded<QNode> nodes_[Platform::kMaxThreads];
 };
 

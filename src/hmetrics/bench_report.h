@@ -72,7 +72,16 @@ class BenchReport {
     return *this;
   }
 
+  // The series named `name` with `labels`, added if absent.  A report holds
+  // one series per (name, labels), so a sweep that adds its points one
+  // coordinate at a time still emits one series (tools/check_regress.py
+  // rejects a report that repeats one).
   BenchSeries& AddSeries(std::string name, Labels labels = {}) {
+    for (BenchSeries& s : series_) {
+      if (s.name() == name && s.labels() == labels) {
+        return s;
+      }
+    }
     series_.emplace_back(std::move(name), std::move(labels));
     return series_.back();
   }

@@ -3,11 +3,11 @@
 // A "lock site" is one lock instance worth attributing contention to: a
 // cluster's page-table coarse lock, a program's per-cluster region lock, the
 // shared lock of a Figure-5 stress run, or a native hlock primitive.  Every
-// instrumentable lock carries an optional LockSiteStats* (null by default);
-// when null the hook is a pointer test and the lock's behaviour -- including
-// every simulated instruction and memory access -- is bit-identical to the
-// uninstrumented build.  Recording is a pure host-side observer: it never
-// advances simulated time.
+// instrumentable lock records through a SiteProbe (below) that holds an
+// optional LockSiteStats* (null by default); when null the hook is a pointer
+// test and the lock's behaviour -- including every simulated instruction and
+// memory access -- is bit-identical to the uninstrumented build.  Recording
+// is a pure host-side observer: it never advances simulated time.
 //
 // What a site records (the paper's Section 4.1 / Figures 4-5 signals):
 //   - acquisitions and contended acquisitions (the acquirer had to wait),
@@ -284,6 +284,137 @@ class LockSiteStats {
   std::map<std::uint32_t, ClusterShare> by_cluster_;
   std::atomic<std::uint32_t> queue_depth_{0};
   std::atomic<std::uint32_t> max_queue_depth_{0};
+};
+
+// How a lock reports to its site: the one place the recording rule lives.
+//
+//   - the wait runs from the first attempt (Begin) to the grant;
+//   - a contended episode joins the site's queue once, at its first failed
+//     attempt (Contend), counted against the waiter's cluster;
+//   - the waiter leaves the queue at the grant (Grant), which records the
+//     acquisition and opens the hold;
+//   - the hold runs from the grant to Release.
+//
+// A probe owns the site pointer and the open hold's grant stamp.  Locks with
+// concurrent holders keep one probe per holder: the distributed RW lock's
+// readers one per context, the hybrid table one per reservation guard.
+//
+// Every hook takes the `caller`, which supplies Now() (ticks),
+// Owner() (a dense id) and Cluster() (the caller's cluster as the lock knows
+// it): hlock::algo::ProbeCaller for the algorithm cores, HostCaller for the
+// hand-written native locks.  The probe asks only while a site is attached,
+// so a detached hook is one pointer test -- no clock read, no cluster
+// division.  Recording is host-side only: no hook awaits anything or adds a
+// schedule point.
+class SiteProbe {
+ public:
+  // Cluster() of a caller that knows only a thread id: the site derives the
+  // owner's cluster by id division (RecordAcquire's three-argument form) and
+  // counts the enqueue in the queue depth only.
+  static constexpr std::uint32_t kOwnerCluster = ~std::uint32_t{0};
+
+  // One acquire episode, kept by the acquirer.
+  struct Wait {
+    std::uint64_t start = 0;  // the first attempt's stamp (attached only)
+    bool contended = false;   // some attempt failed
+    bool queued = false;      // the site counts this waiter in its queue
+  };
+
+  SiteProbe() = default;
+  explicit SiteProbe(LockSiteStats* site) : site_(site) {}
+
+  // Attaches a site (null detaches).  Not thread-safe against lock users.
+  void set_site(LockSiteStats* site) { site_ = site; }
+  LockSiteStats* site() const { return site_; }
+
+  template <class Caller>
+  Wait Begin(const Caller& caller) const {
+    Wait wait;
+    if (site_ != nullptr) {
+      wait.start = caller.Now();
+    }
+    return wait;
+  }
+
+  // A failed attempt.  The episode's first one enqueues the waiter.
+  template <class Caller>
+  void Contend(Wait& wait, const Caller& caller) const {
+    if (site_ != nullptr && !wait.queued) {
+      Enqueue(caller.Cluster());
+      wait.queued = true;
+    }
+    wait.contended = true;
+  }
+
+  // The caller holds the lock now: leaves the queue, records the wait and
+  // opens the hold.
+  template <class Caller>
+  void Grant(const Wait& wait, const Caller& caller) {
+    if (site_ != nullptr) {
+      Open(wait, caller.Now(), caller.Owner(), caller.Cluster());
+    }
+  }
+
+  // A grab that never waited (a try-acquire's success, a downgrade): records
+  // a zero wait and opens the hold.
+  template <class Caller>
+  void GrantAtOnce(const Caller& caller) {
+    if (site_ != nullptr) {
+      const std::uint64_t now = caller.Now();
+      Wait wait;
+      wait.start = now;
+      Open(wait, now, caller.Owner(), caller.Cluster());
+    }
+  }
+
+  // Closes the hold opened by the last grant.
+  template <class Caller>
+  void Release(const Caller& caller) const {
+    if (site_ != nullptr) {
+      Close(caller.Now());
+    }
+  }
+
+ private:
+  // The recording itself stays out of line, so a lock's fast path inlines
+  // only the pointer test and stays small enough to be inlined itself.
+  [[gnu::noinline]] void Enqueue(std::uint32_t cluster) const {
+    if (cluster == kOwnerCluster) {
+      site_->EnterQueue();
+    } else {
+      site_->EnterQueue(cluster);
+    }
+  }
+
+  [[gnu::noinline]] void Open(Wait wait, std::uint64_t now, std::uint32_t owner,
+                              std::uint32_t cluster) {
+    hold_start_ = now;
+    if (wait.queued) {
+      site_->LeaveQueue();
+    }
+    if (cluster == kOwnerCluster) {
+      site_->RecordAcquire(owner, now - wait.start, wait.contended);
+    } else {
+      site_->RecordAcquire(owner, now - wait.start, wait.contended, cluster);
+    }
+  }
+
+  [[gnu::noinline]] void Close(std::uint64_t now) const {
+    site_->RecordRelease(now - hold_start_);
+  }
+
+  LockSiteStats* site_ = nullptr;
+  std::uint64_t hold_start_ = 0;  // written by the holder only
+};
+
+// The caller of a hand-written native lock: host nanoseconds, the thread id
+// `id` returns, and the cluster left to the site.
+struct HostCaller {
+  std::uint32_t (*id)();
+
+  std::uint64_t Now() const { return LockSiteStats::NowTicks(); }
+  std::uint32_t Owner() const { return id(); }
+  std::uint32_t Cluster() const { return SiteProbe::kOwnerCluster; }
 };
 
 // The profiling session: a named collection of lock sites with stable

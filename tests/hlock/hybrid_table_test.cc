@@ -222,5 +222,40 @@ TEST(HybridTable, ReserveSiteRecordsExclusiveReservations) {
   EXPECT_EQ(site.acquisitions(), 4u);
 }
 
+// The coarse lock classifies its handoffs on the table's cluster map, like
+// the reserve and chain sites: with every thread in one cluster, a handoff
+// between two threads is same-cluster.
+TEST(HybridTable, CoarseLockUsesTheTableClusterMap) {
+  hprof::LockSiteStats site("table.coarse", kMaxThreads);
+  HybridTable<int, int> table(/*num_buckets=*/16, /*procs_per_cluster=*/kMaxThreads);
+  table.coarse_lock().set_site(&site);
+  // Both threads stay alive until both have locked, so their dense ids
+  // differ (an exited thread's id is recycled).
+  std::atomic<bool> first_done{false};
+  std::atomic<bool> second_done{false};
+  std::thread first([&] {
+    table.coarse_lock().lock();
+    table.coarse_lock().unlock();
+    first_done.store(true);
+    while (!second_done.load()) {
+      std::this_thread::yield();
+    }
+  });
+  std::thread second([&] {
+    while (!first_done.load()) {
+      std::this_thread::yield();
+    }
+    table.coarse_lock().lock();
+    table.coarse_lock().unlock();
+    second_done.store(true);
+  });
+  first.join();
+  second.join();
+  EXPECT_EQ(site.acquisitions(), 2u);
+  EXPECT_EQ(site.handoffs(hprof::Handoff::kSameCluster), 1u);
+  EXPECT_EQ(site.handoffs(hprof::Handoff::kCrossCluster), 0u);
+  EXPECT_EQ(site.handoffs(hprof::Handoff::kSameProcessor), 0u);
+}
+
 }  // namespace
 }  // namespace hlock

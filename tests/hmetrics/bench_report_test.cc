@@ -45,6 +45,23 @@ TEST(BenchReport, RoundTripValidates) {
   EXPECT_DOUBLE_EQ(s0["points"].at(1)["w_us"].number, 230.4);
 }
 
+TEST(BenchReport, RepeatedSeriesKeyAddsPointsToOneSeries) {
+  // A sweep whose inner loop alternates label sets, as ablation_protocols
+  // does (cluster size outer, protocol inner), still emits one series per
+  // label set with one point per coordinate.
+  BenchReport report("sweep");
+  for (double cs : {2.0, 4.0}) {
+    for (const char* protocol : {"optimistic", "pessimistic"}) {
+      report.AddSeries("shared_fault", {{"protocol", protocol}}).AddPoint({{"cluster_size", cs}});
+    }
+  }
+  ASSERT_EQ(report.series().size(), 2u);
+  EXPECT_EQ(report.series()[0].labels().at("protocol"), "optimistic");
+  ASSERT_EQ(report.series()[0].points().size(), 2u);
+  EXPECT_DOUBLE_EQ(report.series()[0].points()[1].at("cluster_size"), 4.0);
+  EXPECT_EQ(report.series()[1].points().size(), 2u);
+}
+
 TEST(BenchReport, EmptyReportStillValid) {
   // A bench with no series yet (or one that measured nothing under --smoke)
   // still emits a schema-conforming document.

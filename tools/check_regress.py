@@ -23,7 +23,10 @@ the series recorded there: native_costs keeps its host-independent ratios in
 the baseline and its raw nanoseconds and race rates out of it.
 
 Extra series/points/fields in the results are allowed (new benches should not
-fail the gate); anything missing or out of band fails it.
+fail the gate); anything missing or out of band fails it.  A key that repeats
+within the baseline or the results fails it too: a bench must emit one series
+per label set, with one point per sweep coordinate, or all but the last copy
+would go uncompared.
 
 Exit status: 0 clean, 1 regression or missing data, 2 usage/IO error.
 Requires only the Python 3 standard library.
@@ -51,13 +54,25 @@ def series_key(bench, series):
 
 
 def index_reports(reports):
-    """Maps (bench, series name, labels) -> list of points."""
+    """Maps (bench, series name, labels) -> list of points.
+
+    Also returns the keys that occur more than once, in order of repetition.
+    """
     out = {}
+    repeated = []
     for report in reports:
         bench = report.get("bench", "")
         for series in report.get("series", []):
-            out[series_key(bench, series)] = series.get("points", [])
-    return out
+            key = series_key(bench, series)
+            if key in out:
+                repeated.append(key)
+            out[key] = series.get("points", [])
+    return out, repeated
+
+
+def where(key):
+    bench, name, labels = key
+    return f"{bench}/{name}{dict(labels)}"
 
 
 def field_ok(key, old, new):
@@ -77,30 +92,30 @@ def field_ok(key, old, new):
 
 def compare(baseline, results):
     """Returns a list of human-readable regression descriptions."""
-    base_idx = index_reports(baseline)
-    new_idx = index_reports(results)
-    problems = []
+    base_idx, base_repeated = index_reports(baseline)
+    new_idx, new_repeated = index_reports(results)
+    problems = [f"repeated series in baseline: {where(k)}" for k in base_repeated]
+    problems += [f"repeated series in results: {where(k)}" for k in new_repeated]
     for key, base_points in sorted(base_idx.items()):
-        bench, name, labels = key
-        where = f"{bench}/{name}{dict(labels)}"
+        at = where(key)
         new_points = new_idx.get(key)
         if new_points is None:
-            problems.append(f"missing series: {where}")
+            problems.append(f"missing series: {at}")
             continue
         if len(new_points) < len(base_points):
-            problems.append(f"{where}: {len(base_points)} points in baseline, "
+            problems.append(f"{at}: {len(base_points)} points in baseline, "
                             f"only {len(new_points)} in results")
             continue
         for i, base_point in enumerate(base_points):
             new_point = new_points[i]
             for field, old in sorted(base_point.items()):
                 if field not in new_point:
-                    problems.append(f"{where}[{i}]: field {field!r} missing")
+                    problems.append(f"{at}[{i}]: field {field!r} missing")
                     continue
                 new = new_point[field]
                 if not field_ok(field, old, new):
                     problems.append(
-                        f"{where}[{i}].{field}: baseline {old!r} -> {new!r} "
+                        f"{at}[{i}].{field}: baseline {old!r} -> {new!r} "
                         f"(outside tolerance)")
     return problems
 
@@ -173,8 +188,16 @@ def self_test():
     mesh_remote = json.loads(json.dumps(mesh_base))
     mesh_remote[0]["series"][1]["points"][0]["frac_local"] = 0.4
 
+    # A bench that emits one series per sweep point under the same labels: the
+    # index would keep only the last copy, so the repeat itself must fail.
+    repeated = json.loads(json.dumps(base))
+    repeated[0]["series"].append(json.loads(json.dumps(base[0]["series"][0])))
+    repeated[0]["series"][1]["points"][0]["p"] = 8
+
     checks = [
         ("identical results pass", compare(base, same) == []),
+        ("repeated series key in results fails", compare(base, repeated) != []),
+        ("repeated series key in baseline fails", compare(repeated, repeated) != []),
         ("in-band drift passes", compare(base, drifted) == []),
         ("perturbed metric fails", compare(base, perturbed) != []),
         ("missing series fails", compare(base, missing) != []),
@@ -234,14 +257,16 @@ def main():
         return 2
 
     problems = compare(baseline, results)
-    n_series = len(index_reports(baseline))
+    base_idx, _ = index_reports(baseline)
+    n_points = sum(len(points) for points in base_idx.values())
     if problems:
         print(f"check_regress: {len(problems)} problem(s) against "
               f"{args.baseline}:")
         for p in problems:
             print(f"  {p}")
         return 1
-    print(f"check_regress: OK ({n_series} baseline series within tolerance)")
+    print(f"check_regress: OK (all {len(base_idx)} baseline series, {n_points} points, "
+          f"within tolerance)")
     return 0
 
 
