@@ -4,6 +4,9 @@
 
 namespace hkernel {
 
+// AllocWords zeroes every word, which is each field's initial value.
+static_assert(hsim::SimReserve::kFree == 0 && kNilDesc == 0);
+
 namespace {
 
 halloc::SlabConfig MakeConfig(std::uint32_t objects_per_cluster,
@@ -25,28 +28,21 @@ DescriptorArena::DescriptorArena(hsim::Machine* machine, std::uint32_t cluster_s
       core_(&backend_, MakeConfig(objects_per_cluster, magazine_size)) {
   Backend::Check(cluster_modules.size() >= backend_.NumClusters(),
                  "DescriptorArena: cluster_modules must cover every cluster");
-  const std::uint64_t capacity = core_.capacity();
-  descriptors_.reserve(capacity);
-  for (std::uint64_t i = 0; i < capacity; ++i) {
-    // Descriptor i backs ref i+1: home it at its ref's cluster so the object a
-    // cluster-local Alloc hands back is itself cluster-local (a depot-steal
-    // deliberately keeps the donor's homing -- the ref records the truth).
-    const std::uint32_t cluster = core_.HomeClusterOf(i + 1);
-    const std::vector<hsim::ModuleId>& modules = cluster_modules[cluster];
-    const hsim::ModuleId home =
-        modules[(i % objects_per_cluster) % modules.size()];
-    PageDescriptor d;
-    d.page = &machine->AllocWord(home, 0);
-    d.next = &machine->AllocWord(home, kNilDesc);
-    d.reserve = &machine->AllocWord(home, hsim::SimReserve::kFree);
-    d.flags = &machine->AllocWord(home, 0);
-    d.ref_count = &machine->AllocWord(home, 0);
-    d.replicas = &machine->AllocWord(home, 0);
-    d.payload.reserve(KernelConfig::kPayloadWords);
-    for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
-      d.payload.push_back(&machine->AllocWord(home, 0));
+  // Ref c * objects_per_cluster + j + 1 is cluster c's j-th descriptor: home
+  // it at its ref's cluster, round-robin over the cluster's modules, so the
+  // object a cluster-local Alloc hands back is itself cluster-local (a
+  // depot-steal deliberately keeps the donor's homing -- the ref records the
+  // truth).
+  descriptors_.reserve(core_.capacity());
+  for (std::uint32_t c = 0; c < backend_.NumClusters(); ++c) {
+    const std::vector<hsim::ModuleId>& modules = cluster_modules[c];
+    std::size_t m = 0;
+    for (std::uint32_t j = 0; j < objects_per_cluster; ++j) {
+      descriptors_.emplace_back(machine->AllocWords(modules[m], PageDescriptor::kWords));
+      if (++m == modules.size()) {
+        m = 0;
+      }
     }
-    descriptors_.push_back(std::move(d));
   }
 }
 

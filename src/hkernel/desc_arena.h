@@ -24,6 +24,12 @@
 // cluster_size), not the machine's stations: the arena's backend shadows
 // SimBackend's station-based topology the same way fig7's cluster sweep
 // regroups processors.
+//
+// Layout.  Each descriptor is one run of PageDescriptor::kWords contiguous
+// SimWords from Machine::AllocWords, all homed on one module.  Every field
+// starts at 0 (kNilDesc and SimReserve::kFree are both 0), so a fresh zeroed
+// run is a ready descriptor.  A PageDescriptor is a one-pointer view of its
+// run, and the arena keeps one view per ref.
 
 #ifndef HKERNEL_DESC_ARENA_H_
 #define HKERNEL_DESC_ARENA_H_
@@ -43,14 +49,24 @@ namespace hkernel {
 using DescRef = std::uint32_t;
 inline constexpr DescRef kNilDesc = 0;
 
-struct PageDescriptor {
-  hsim::SimWord* page;       // page identifier this descriptor describes
-  hsim::SimWord* next;       // hash chain link (DescRef)
-  hsim::SimWord* reserve;    // reserve word (see hsim::SimReserve)
-  hsim::SimWord* flags;      // kFlagPresent | kFlagHome
-  hsim::SimWord* ref_count;  // per-cluster mapping reference count
-  hsim::SimWord* replicas;   // home only: bitmask of clusters holding replicas
-  std::vector<hsim::SimWord*> payload;  // data copied on replication
+// A view of one descriptor's words.  Copying it copies the pointer only.
+class PageDescriptor {
+ public:
+  static constexpr std::uint32_t kWords = 6 + KernelConfig::kPayloadWords;
+
+  explicit PageDescriptor(hsim::SimWord* words) : words_(words) {}
+
+  hsim::SimWord& page() const { return words_[0]; }       // page identifier
+  hsim::SimWord& next() const { return words_[1]; }       // hash chain link (DescRef)
+  hsim::SimWord& reserve() const { return words_[2]; }    // see hsim::SimReserve
+  hsim::SimWord& flags() const { return words_[3]; }      // kFlagPresent | kFlagHome
+  hsim::SimWord& ref_count() const { return words_[4]; }  // per-cluster mapping count
+  hsim::SimWord& replicas() const { return words_[5]; }   // home only: replica clusters
+  // Word `i` of the data copied on replication, i < KernelConfig::kPayloadWords.
+  hsim::SimWord& payload(std::uint32_t i) const { return words_[6 + i]; }
+
+ private:
+  hsim::SimWord* words_;
 };
 
 class DescriptorArena {
@@ -89,8 +105,7 @@ class DescriptorArena {
   hsim::Task<DescRef> Alloc(hsim::Processor& p);
   hsim::Task<void> Free(hsim::Processor& p, DescRef ref);
 
-  PageDescriptor& desc(DescRef ref) { return descriptors_[ref - 1]; }
-  const PageDescriptor& desc(DescRef ref) const { return descriptors_[ref - 1]; }
+  PageDescriptor desc(DescRef ref) const { return descriptors_[ref - 1]; }
 
   std::uint32_t objects_per_cluster() const {
     return static_cast<std::uint32_t>(core_.objects_per_cluster());

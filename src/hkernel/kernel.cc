@@ -269,7 +269,7 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
     ref = co_await c.table().Lookup(p, page);
     if (ref != kNilDesc) {
       const hsim::Tick t0 = p.now();
-      const bool reserved = co_await SimReserve::TrySetExclusive(p, *c.table().desc(ref).reserve);
+      const bool reserved = co_await SimReserve::TrySetExclusive(p, c.table().desc(ref).reserve());
       lock_cycles += p.now() - t0;
       if (reserved) {
         const hsim::Tick t1 = p.now();
@@ -287,7 +287,7 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
       ++outcome.reserve_waits;
       ++counters_.reserve_waits;
       const hsim::Tick t2 = p.now();
-      co_await WaitReserveFree(p, *c.table().desc(ref).reserve);
+      co_await WaitReserveFree(p, c.table().desc(ref).reserve());
       lock_cycles += p.now() - t2;
       continue;
     }
@@ -299,12 +299,12 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
       // descriptor is built from the core map).
       ref = co_await c.table().Insert(p, page);
       assert(ref != kNilDesc && "cluster descriptor pool exhausted");
-      PageDescriptor& d = c.table().desc(ref);
-      co_await p.Store(*d.flags, kFlagPresent | kFlagHome);
-      for (hsim::SimWord* w : d.payload) {
-        co_await p.Store(*w, page);
+      const PageDescriptor d = c.table().desc(ref);
+      co_await p.Store(d.flags(), kFlagPresent | kFlagHome);
+      for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
+        co_await p.Store(d.payload(w), page);
       }
-      const bool reserved = co_await SimReserve::TrySetExclusive(p, *d.reserve);
+      const bool reserved = co_await SimReserve::TrySetExclusive(p, d.reserve());
       assert(reserved);
       (void)reserved;
       co_await LockRelease(p, c.lock());
@@ -341,12 +341,12 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
       }
       ref = co_await c.table().Insert(p, page);
       assert(ref != kNilDesc && "cluster descriptor pool exhausted");
-      PageDescriptor& dd = c.table().desc(ref);
+      const PageDescriptor dd = c.table().desc(ref);
       for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
-        co_await p.Store(*dd.payload[w], request.payload[w]);
+        co_await p.Store(dd.payload(w), request.payload[w]);
       }
-      co_await p.Store(*dd.flags, kFlagPresent);
-      const bool res = co_await SimReserve::TrySetExclusive(p, *dd.reserve);
+      co_await p.Store(dd.flags(), kFlagPresent);
+      const bool res = co_await SimReserve::TrySetExclusive(p, dd.reserve());
       assert(res);
       (void)res;
       co_await LockRelease(p, c.lock());
@@ -360,8 +360,8 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
     // RPCs; then release all local locks and fetch the payload.
     ref = co_await c.table().Insert(p, page);
     assert(ref != kNilDesc && "cluster descriptor pool exhausted");
-    PageDescriptor& d = c.table().desc(ref);
-    const bool reserved = co_await SimReserve::TrySetExclusive(p, *d.reserve);
+    const PageDescriptor d = c.table().desc(ref);
+    const bool reserved = co_await SimReserve::TrySetExclusive(p, d.reserve());
     assert(reserved);
     (void)reserved;
     {
@@ -377,25 +377,25 @@ hsim::Task<void> KernelSystem::PageFault(hsim::Processor& p, Program& prog, std:
     assert(request.status == RpcStatus::kOk);
 
     for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
-      co_await p.Store(*d.payload[w], request.payload[w]);
+      co_await p.Store(d.payload(w), request.payload[w]);
     }
     // Publish: only the reserve holder writes flags, so a plain store is safe.
-    co_await p.Store(*d.flags, kFlagPresent);
+    co_await p.Store(d.flags(), kFlagPresent);
     outcome.replicated = true;
     ++counters_.replications;
     break;
   }
 
   // --- 3. fault processing with the reserve bit held -------------------------
-  PageDescriptor& d = c.table().desc(ref);
+  const PageDescriptor d = c.table().desc(ref);
   co_await ComputeInterruptible(p, config_.fault_mapwork);
   co_await p.Store(*pte_words_[p.id()][0], page);
   co_await p.Store(*pte_words_[p.id()][1], 1);
-  const std::uint64_t rc = co_await p.Load(*d.ref_count);
-  co_await p.Store(*d.ref_count, rc + 1);
+  const std::uint64_t rc = co_await p.Load(d.ref_count());
+  co_await p.Store(d.ref_count(), rc + 1);
   {
     const hsim::Tick t0 = p.now();
-    co_await SimReserve::ClearExclusive(p, *d.reserve);
+    co_await SimReserve::ClearExclusive(p, d.reserve());
     lock_cycles += p.now() - t0;
   }
   co_await p.Compute(config_.fault_exit);
@@ -420,9 +420,9 @@ hsim::Task<void> KernelSystem::UnmapGlobal(hsim::Processor& p, std::uint64_t pag
   const DescRef ref = co_await c.table().Lookup(p, page);
   std::uint64_t mask = 0;
   if (ref != kNilDesc) {
-    mask = co_await p.Load(*c.table().desc(ref).replicas);
-    co_await p.Store(*c.table().desc(ref).replicas, 0);
-    co_await p.Store(*c.table().desc(ref).ref_count, 0);
+    mask = co_await p.Load(c.table().desc(ref).replicas());
+    co_await p.Store(c.table().desc(ref).replicas(), 0);
+    co_await p.Store(c.table().desc(ref).ref_count(), 0);
   }
   co_await LockRelease(p, c.lock());
   if (ref == kNilDesc) {
@@ -458,8 +458,8 @@ hsim::Task<void> KernelSystem::GlobalUpdate(hsim::Processor& p, std::uint64_t pa
   const DescRef ref = co_await c.table().Lookup(p, page);
   std::uint64_t mask = 0;
   if (ref != kNilDesc) {
-    mask = co_await p.Load(*c.table().desc(ref).replicas);
-    co_await p.Store(*c.table().desc(ref).payload[0], value);
+    mask = co_await p.Load(c.table().desc(ref).replicas());
+    co_await p.Store(c.table().desc(ref).payload(0), value);
   }
   co_await LockRelease(p, c.lock());
   if (ref == kNilDesc) {
@@ -527,32 +527,32 @@ hsim::Task<void> KernelSystem::HandleGetPage(hsim::Processor& p, RpcPacket& requ
     // descriptor from the core map.
     ref = co_await c.table().Insert(p, request.page);
     assert(ref != kNilDesc && "home descriptor pool exhausted");
-    PageDescriptor& d = c.table().desc(ref);
-    co_await p.Store(*d.flags, kFlagPresent | kFlagHome);
-    for (hsim::SimWord* w : d.payload) {
-      co_await p.Store(*w, request.page);
+    const PageDescriptor d = c.table().desc(ref);
+    co_await p.Store(d.flags(), kFlagPresent | kFlagHome);
+    for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
+      co_await p.Store(d.payload(w), request.page);
     }
   }
-  PageDescriptor& d = c.table().desc(ref);
-  const bool readable = co_await SimReserve::TryAddReader(p, *d.reserve);
+  const PageDescriptor d = c.table().desc(ref);
+  const bool readable = co_await SimReserve::TryAddReader(p, d.reserve());
   if (!readable) {
     co_await LockRelease(p, c.lock());
     request.status = RpcStatus::kWouldDeadlock;
     co_return;
   }
   // Record the requester as a replica holder while we still hold the lock.
-  const std::uint64_t mask = co_await p.Load(*d.replicas);
-  co_await p.Store(*d.replicas, mask | (1ULL << request.src_cluster));
+  const std::uint64_t mask = co_await p.Load(d.replicas());
+  co_await p.Store(d.replicas(), mask | (1ULL << request.src_cluster));
   co_await LockRelease(p, c.lock());
 
   // Copy the payload under the reader reservation only: multiple clusters can
   // replicate concurrently (the combining behaviour of Section 2.2).
   for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
-    request.payload[w] = co_await p.Load(*d.payload[w]);
+    request.payload[w] = co_await p.Load(d.payload(w));
   }
 
   co_await LockAcquire(p, c.lock());
-  co_await SimReserve::RemoveReader(p, *d.reserve);
+  co_await SimReserve::RemoveReader(p, d.reserve());
   co_await LockRelease(p, c.lock());
   request.status = RpcStatus::kOk;
 }
@@ -568,7 +568,7 @@ hsim::Task<void> KernelSystem::HandleInvalidate(hsim::Processor& p, RpcPacket& r
     request.status = RpcStatus::kOk;  // already gone
     co_return;
   }
-  const std::uint64_t state = co_await SimReserve::Read(p, *c.table().desc(ref).reserve);
+  const std::uint64_t state = co_await SimReserve::Read(p, c.table().desc(ref).reserve());
   if (state != SimReserve::kFree) {
     co_await LockRelease(p, c.lock());
     request.status = RpcStatus::kWouldDeadlock;
@@ -592,14 +592,14 @@ hsim::Task<void> KernelSystem::HandleGlobalUpdate(hsim::Processor& p, RpcPacket&
     request.status = RpcStatus::kOk;  // no replica here (raced with invalidation)
     co_return;
   }
-  PageDescriptor& d = c.table().desc(ref);
-  const std::uint64_t state = co_await SimReserve::Read(p, *d.reserve);
+  const PageDescriptor d = c.table().desc(ref);
+  const std::uint64_t state = co_await SimReserve::Read(p, d.reserve());
   if (state != SimReserve::kFree) {
     co_await LockRelease(p, c.lock());
     request.status = RpcStatus::kWouldDeadlock;
     co_return;
   }
-  co_await p.Store(*d.payload[0], request.arg);
+  co_await p.Store(d.payload(0), request.arg);
   co_await LockRelease(p, c.lock());
   request.status = RpcStatus::kOk;
 }

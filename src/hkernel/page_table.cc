@@ -30,12 +30,12 @@ hsim::Task<DescRef> PageHashTable::Lookup(hsim::Processor& p, std::uint64_t page
   DescRef ref = static_cast<DescRef>(co_await p.Load(*bins_[bin]));
   while (ref != kNilDesc) {
     co_await p.Exec(0, 1);
-    const std::uint64_t key = co_await p.Load(*desc(ref).page);
+    const std::uint64_t key = co_await p.Load(desc(ref).page());
     co_await p.Exec(0, 1);
     if (key == page) {
       co_return ref;
     }
-    ref = static_cast<DescRef>(co_await p.Load(*desc(ref).next));
+    ref = static_cast<DescRef>(co_await p.Load(desc(ref).next()));
   }
   co_await p.Exec(0, 1);
   co_return kNilDesc;
@@ -47,12 +47,12 @@ hsim::Task<DescRef> PageHashTable::Insert(hsim::Processor& p, std::uint64_t page
     co_return kNilDesc;
   }
   ++live_;
-  PageDescriptor& d = desc(ref);
-  co_await p.Store(*d.page, page);
-  co_await p.Store(*d.flags, 0);
+  const PageDescriptor d = desc(ref);
+  co_await p.Store(d.page(), page);
+  co_await p.Store(d.flags(), 0);
   const std::uint32_t bin = BinOf(page);
   const std::uint64_t head = co_await p.Load(*bins_[bin]);
-  co_await p.Store(*d.next, head);
+  co_await p.Store(d.next(), head);
   co_await p.Store(*bins_[bin], ref);
   co_return ref;
 }
@@ -64,19 +64,19 @@ hsim::Task<bool> PageHashTable::Remove(hsim::Processor& p, std::uint64_t page) {
   DescRef ref = static_cast<DescRef>(co_await p.Load(*link));
   while (ref != kNilDesc) {
     co_await p.Exec(0, 1);
-    const std::uint64_t key = co_await p.Load(*desc(ref).page);
+    const std::uint64_t key = co_await p.Load(desc(ref).page());
     co_await p.Exec(0, 1);
     if (key == page) {
-      const std::uint64_t next = co_await p.Load(*desc(ref).next);
+      const std::uint64_t next = co_await p.Load(desc(ref).next());
       co_await p.Store(*link, next);
       // Scrub identity but keep the reserve word type-stable: a late spinner
       // observes kFree (or the next owner's state), never garbage.
-      co_await p.Store(*desc(ref).page, 0);
+      co_await p.Store(desc(ref).page(), 0);
       co_await arena_->Free(p, ref);
       --live_;
       co_return true;
     }
-    link = desc(ref).next;
+    link = &desc(ref).next();
     ref = static_cast<DescRef>(co_await p.Load(*link));
   }
   co_return false;

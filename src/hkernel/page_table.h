@@ -59,8 +59,7 @@ class PageHashTable {
   // Unlinks and frees the descriptor for `page`.  Returns false if absent.
   hsim::Task<bool> Remove(hsim::Processor& p, std::uint64_t page);
 
-  PageDescriptor& desc(DescRef ref) { return arena_->desc(ref); }
-  const PageDescriptor& desc(DescRef ref) const { return arena_->desc(ref); }
+  PageDescriptor desc(DescRef ref) const { return arena_->desc(ref); }
 
   // Descriptors available to this table's cluster before it has to lean on
   // the depot (the old per-table pool size).

@@ -107,6 +107,10 @@
 
 #include "src/hlock/algo/frame_cache.h"
 
+namespace hprof {
+class LockSiteStats;
+}  // namespace hprof
+
 namespace hlock::algo {
 
 // Acquire budget (MakeDeadline) that never expires.  Checking an infinite
@@ -124,7 +128,9 @@ class ProbeCaller {
 
   std::uint64_t Now() const { return b_->Now(ctx_); }
   std::uint32_t Owner() const { return b_->CtxId(ctx_); }
-  std::uint32_t Cluster() const { return b_->ClusterOfCtx(b_->CtxId(ctx_)); }
+  std::uint32_t Cluster(const hprof::LockSiteStats&) const {
+    return b_->ClusterOfCtx(b_->CtxId(ctx_));
+  }
 
  private:
   B* b_;

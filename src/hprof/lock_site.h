@@ -300,19 +300,15 @@ class LockSiteStats {
 // readers one per context, the hybrid table one per reservation guard.
 //
 // Every hook takes the `caller`, which supplies Now() (ticks),
-// Owner() (a dense id) and Cluster() (the caller's cluster as the lock knows
-// it): hlock::algo::ProbeCaller for the algorithm cores, HostCaller for the
-// hand-written native locks.  The probe asks only while a site is attached,
-// so a detached hook is one pointer test -- no clock read, no cluster
-// division.  Recording is host-side only: no hook awaits anything or adds a
-// schedule point.
+// Owner() (a dense id) and Cluster(site) (the caller's cluster as the lock
+// knows it, or as `site` derives it from the owner id): hlock::algo::
+// ProbeCaller for the algorithm cores, HostCaller for the hand-written native
+// locks.  The probe asks only while a site is attached, and asks for the
+// cluster only inside its out-of-line recording bodies, so a detached hook is
+// one pointer test -- no clock read, no cluster division.  Recording is
+// host-side only: no hook awaits anything or adds a schedule point.
 class SiteProbe {
  public:
-  // Cluster() of a caller that knows only a thread id: the site derives the
-  // owner's cluster by id division (RecordAcquire's three-argument form) and
-  // counts the enqueue in the queue depth only.
-  static constexpr std::uint32_t kOwnerCluster = ~std::uint32_t{0};
-
   // One acquire episode, kept by the acquirer.
   struct Wait {
     std::uint64_t start = 0;  // the first attempt's stamp (attached only)
@@ -340,7 +336,7 @@ class SiteProbe {
   template <class Caller>
   void Contend(Wait& wait, const Caller& caller) const {
     if (site_ != nullptr && !wait.queued) {
-      Enqueue(caller.Cluster());
+      Enqueue(caller);
       wait.queued = true;
     }
     wait.contended = true;
@@ -351,7 +347,7 @@ class SiteProbe {
   template <class Caller>
   void Grant(const Wait& wait, const Caller& caller) {
     if (site_ != nullptr) {
-      Open(wait, caller.Now(), caller.Owner(), caller.Cluster());
+      Open(wait, caller.Now(), caller);
     }
   }
 
@@ -363,7 +359,7 @@ class SiteProbe {
       const std::uint64_t now = caller.Now();
       Wait wait;
       wait.start = now;
-      Open(wait, now, caller.Owner(), caller.Cluster());
+      Open(wait, now, caller);
     }
   }
 
@@ -378,25 +374,19 @@ class SiteProbe {
  private:
   // The recording itself stays out of line, so a lock's fast path inlines
   // only the pointer test and stays small enough to be inlined itself.
-  [[gnu::noinline]] void Enqueue(std::uint32_t cluster) const {
-    if (cluster == kOwnerCluster) {
-      site_->EnterQueue();
-    } else {
-      site_->EnterQueue(cluster);
-    }
+  template <class Caller>
+  [[gnu::noinline]] void Enqueue(const Caller& caller) const {
+    site_->EnterQueue(caller.Cluster(*site_));
   }
 
-  [[gnu::noinline]] void Open(Wait wait, std::uint64_t now, std::uint32_t owner,
-                              std::uint32_t cluster) {
+  template <class Caller>
+  [[gnu::noinline]] void Open(Wait wait, std::uint64_t now, const Caller& caller) {
     hold_start_ = now;
     if (wait.queued) {
       site_->LeaveQueue();
     }
-    if (cluster == kOwnerCluster) {
-      site_->RecordAcquire(owner, now - wait.start, wait.contended);
-    } else {
-      site_->RecordAcquire(owner, now - wait.start, wait.contended, cluster);
-    }
+    site_->RecordAcquire(caller.Owner(), now - wait.start, wait.contended,
+                         caller.Cluster(*site_));
   }
 
   [[gnu::noinline]] void Close(std::uint64_t now) const {
@@ -408,13 +398,15 @@ class SiteProbe {
 };
 
 // The caller of a hand-written native lock: host nanoseconds, the thread id
-// `id` returns, and the cluster left to the site.
+// `id` returns, and that id's cluster by the site's procs_per_cluster.
 struct HostCaller {
   std::uint32_t (*id)();
 
   std::uint64_t Now() const { return LockSiteStats::NowTicks(); }
   std::uint32_t Owner() const { return id(); }
-  std::uint32_t Cluster() const { return SiteProbe::kOwnerCluster; }
+  std::uint32_t Cluster(const LockSiteStats& site) const {
+    return id() / site.procs_per_cluster();
+  }
 };
 
 // The profiling session: a named collection of lock sites with stable

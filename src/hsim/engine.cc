@@ -37,6 +37,10 @@ void Engine::Spawn(Task<void> task) {
   RunDetached(this, std::move(task), &live_tasks_);
 }
 
+void Engine::PushFar(WaitAwaiter* waiter) {
+  far_.push(FarWait{waiter->at, far_seq_++, waiter});
+}
+
 Tick Engine::NextWheelTick() const {
   const std::size_t slot = now_ & (kWheelTicks - 1);
   std::size_t word = slot / 64;
@@ -58,16 +62,20 @@ void Engine::AdvanceTo(Tick at) {
 }
 
 bool Engine::RunThrough(Tick until) {
-  while (wheel_size_ != 0 || !far_.empty()) {
-    // Every far wait is at least kWheelTicks ahead, so after every wheel wait.
-    const Tick next = wheel_size_ != 0 ? NextWheelTick() : far_.top().at;
-    if (next > until) {
-      return false;
-    }
-    if (next != now_) {
+  for (;;) {
+    std::size_t slot = now_ & (kWheelTicks - 1);
+    if (buckets_[slot].head == nullptr || now_ > until) {
+      if (wheel_size_ == 0 && far_.empty()) {
+        return true;
+      }
+      // Every far wait is at least kWheelTicks ahead, so after every wheel wait.
+      const Tick next = wheel_size_ != 0 ? NextWheelTick() : far_.top().at;
+      if (next > until) {
+        return false;
+      }
       AdvanceTo(next);
+      slot = now_ & (kWheelTicks - 1);
     }
-    const std::size_t slot = now_ & (kWheelTicks - 1);
     Bucket& bucket = buckets_[slot];
     WaitAwaiter* waiter = bucket.head;
     bucket.head = waiter->next;
@@ -80,7 +88,6 @@ bool Engine::RunThrough(Tick until) {
     // The awaiter dies in its frame once the coroutine resumes.
     waiter->handle.resume();
   }
-  return true;
 }
 
 Tick Engine::RunUntilIdle() {

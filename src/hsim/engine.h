@@ -117,11 +117,12 @@ class Engine {
   };
 
   // Queues a suspended awaiter; its `at` is after now (await_ready said so).
+  // Inline up to the far-heap push, which is rare and stays out of line.
   void Schedule(WaitAwaiter* waiter) {
     if (waiter->at - now_ < kWheelTicks) {
       Append(waiter);
     } else {
-      far_.push(FarWait{waiter->at, far_seq_++, waiter});
+      PushFar(waiter);
     }
   }
 
@@ -138,12 +139,14 @@ class Engine {
     ++wheel_size_;
   }
 
+  void PushFar(WaitAwaiter* waiter);
   // Tick of the earliest wheel wait; the wheel must not be empty.
   Tick NextWheelTick() const;
   // Sets now to `at` and moves far waits now within the wheel's span into it.
   void AdvanceTo(Tick at);
   // Resumes events in order while the next one is due at or before `until`.
-  // Returns true if the queue drained.
+  // While now's bucket holds waits they are the earliest, so they resume
+  // without a scan for the next tick.  Returns true if the queue drained.
   bool RunThrough(Tick until);
 
   Tick now_ = 0;

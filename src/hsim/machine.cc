@@ -1,5 +1,8 @@
 #include "src/hsim/machine.h"
 
+#include <algorithm>
+#include <memory>
+#include <new>
 #include <string>
 
 namespace hsim {
@@ -305,9 +308,19 @@ Machine::Machine(Engine* engine, const MachineConfig& config) : engine_(engine),
   }
 }
 
-SimWord& Machine::AllocWord(ModuleId module, std::uint64_t initial) {
-  words_.push_back(SimWord{initial, module});
-  return words_.back();
+SimWord* Machine::AllocWords(ModuleId module, std::size_t n) {
+  if (n > chunk_left_) {
+    const std::size_t words = std::max(n, next_chunk_words_);
+    next_chunk_words_ = std::min(2 * next_chunk_words_, kMaxChunkWords);
+    chunks_.emplace_back(static_cast<SimWord*>(::operator new(words * sizeof(SimWord))));
+    chunk_next_ = chunks_.back().get();
+    chunk_left_ = words;
+  }
+  SimWord* run = chunk_next_;
+  chunk_next_ += n;
+  chunk_left_ -= n;
+  std::uninitialized_fill_n(run, n, SimWord{0, module});
+  return run;
 }
 
 Tick Machine::total_bus_wait() const {

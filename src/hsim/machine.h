@@ -16,13 +16,23 @@
 // transactions therefore produces exactly the queueing behaviour whose
 // second-order effects the paper measures: processors spinning over the
 // network slow down both bystanders and the lock holder itself.
+//
+// Word storage.  The machine hands out words from chunks it owns: each chunk
+// is one host array, the first kFirstChunkWords long and every next one twice
+// the last, up to kMaxChunkWords (kept below glibc's 128 KiB mmap threshold,
+// so chunks come from the heap and a small machine pays only for the words it
+// uses).  AllocWords(home, n) returns n contiguous words from the current
+// chunk, opening a new one when they do not fit; the old chunk's tail is left
+// unused.  Chunks are freed only with the Machine, so a word's address is
+// stable for the machine's whole life.
 
 #ifndef HSIM_MACHINE_H_
 #define HSIM_MACHINE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/hmetrics/trace.h"
@@ -210,9 +220,17 @@ class Machine {
   Resource& bus(StationId station) { return *buses_[station]; }
   Resource& ring() { return *ring_; }
 
-  // Allocates one word of simulated memory homed on `module`.  Words are
-  // stable in memory for the life of the Machine.
-  SimWord& AllocWord(ModuleId module, std::uint64_t initial = 0);
+  // Allocates `n` contiguous words of simulated memory homed on `module`,
+  // each with value 0 and no cached copies.  Words are stable in memory for
+  // the life of the Machine.
+  SimWord* AllocWords(ModuleId module, std::size_t n);
+
+  // Allocates one word homed on `module` holding `initial`.
+  SimWord& AllocWord(ModuleId module, std::uint64_t initial = 0) {
+    SimWord& word = *AllocWords(module, 1);
+    word.value = initial;
+    return word;
+  }
 
   // Aggregate interconnect statistics (for reporting contention).
   Tick total_bus_wait() const;
@@ -229,7 +247,21 @@ class Machine {
   std::vector<std::unique_ptr<Resource>> buses_;
   std::unique_ptr<Resource> ring_;
   std::vector<std::unique_ptr<Processor>> processors_;
-  std::deque<SimWord> words_;
+
+  // Word chunks (see the top of this file).  A chunk is raw storage whose
+  // words are constructed as they are handed out, so each is written once.
+  static constexpr std::size_t kFirstChunkWords = 16;
+  static constexpr std::size_t kMaxChunkWords = 4096;  // 96 KiB
+  static_assert(kMaxChunkWords * sizeof(SimWord) < 128 * 1024);
+  static_assert(std::is_trivially_destructible_v<SimWord>);
+  struct ChunkFree {
+    void operator()(SimWord* chunk) const { ::operator delete(chunk); }
+  };
+
+  std::vector<std::unique_ptr<SimWord, ChunkFree>> chunks_;
+  SimWord* chunk_next_ = nullptr;  // first unused word of the current chunk
+  std::size_t chunk_left_ = 0;     // unused words left in it
+  std::size_t next_chunk_words_ = kFirstChunkWords;
 };
 
 inline Engine& Processor::engine() { return machine_->engine(); }

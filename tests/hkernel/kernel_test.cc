@@ -154,7 +154,7 @@ TEST(FaultTest, RefCountTracksMappings) {
     DescRef ref = co_await ck->table().Lookup(r->machine.processor(0),
                                               KernelSystem::MakePage(0, 5));
     EXPECT_NE(ref, kNilDesc);
-    EXPECT_EQ(ck->table().desc(ref).ref_count->value, 3u);
+    EXPECT_EQ(ck->table().desc(ref).ref_count().value, 3u);
     *done = true;
   }(&rig, &c, &checked));
   rig.engine.RunUntilIdle();
@@ -219,8 +219,8 @@ TEST(GlobalUpdateTest, BroadcastsToReplicas) {
     DescRef replica = co_await r->system.cluster(1).table().Lookup(r->machine.processor(4), page);
     EXPECT_NE(home, kNilDesc);
     EXPECT_NE(replica, kNilDesc);
-    EXPECT_EQ(r->system.cluster(0).table().desc(home).payload[0]->value, 0xBEEFu);
-    EXPECT_EQ(r->system.cluster(1).table().desc(replica).payload[0]->value, 0xBEEFu);
+    EXPECT_EQ(r->system.cluster(0).table().desc(home).payload(0).value, 0xBEEFu);
+    EXPECT_EQ(r->system.cluster(1).table().desc(replica).payload(0).value, 0xBEEFu);
     *done = true;
     r->stop = true;
   }(&rig, &prog, &checked));

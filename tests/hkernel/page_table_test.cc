@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <utility>
+#include <vector>
+
+#include "src/hkernel/desc_arena.h"
+#include "src/hkernel/kernel.h"
 #include "src/hsim/engine.h"
 #include "src/hsim/locks/reserve_bit.h"
 #include "src/hsim/machine.h"
@@ -41,7 +49,7 @@ TEST_F(PageTableTest, InsertThenLookupHits) {
     DescRef ref = co_await t->Insert(*p, 42);
     EXPECT_NE(ref, kNilDesc);
     EXPECT_EQ(co_await t->Lookup(*p, 42), ref);
-    EXPECT_EQ(t->desc(ref).page->value, 42u);
+    EXPECT_EQ(t->desc(ref).page().value, 42u);
   });
   EXPECT_EQ(table_.live(), 1u);
 }
@@ -92,7 +100,7 @@ TEST_F(PageTableTest, PoolIsTypeStableAcrossReuse) {
   // is left in a defined state -- a late spinner never observes garbage.
   Run([](hsim::Processor* p, PageHashTable* t) -> hsim::Task<void> {
     DescRef a = co_await t->Insert(*p, 7);
-    hsim::SimWord* reserve = t->desc(a).reserve;
+    hsim::SimWord* reserve = &t->desc(a).reserve();
     EXPECT_TRUE(co_await t->Remove(*p, 7));
     // Fill the pool; the freed slot must be handed out again.
     bool reused = false;
@@ -100,7 +108,7 @@ TEST_F(PageTableTest, PoolIsTypeStableAcrossReuse) {
       DescRef r = co_await t->Insert(*p, 1000 + k);
       if (r == a) {
         reused = true;
-        EXPECT_EQ(t->desc(r).reserve, reserve);
+        EXPECT_EQ(&t->desc(r).reserve(), reserve);
       }
     }
     EXPECT_TRUE(reused);
@@ -142,6 +150,69 @@ TEST_F(PageTableTest, LookupCostGrowsWithChainLength) {
   }(&machine.processor(0), &small, &first, &last));
   engine.RunUntilIdle();
   EXPECT_GT(last, first * 5);
+}
+
+// Checks every descriptor of `arena` against the construction that kept
+// each field in its own word: descriptor i (ref i + 1) is homed on
+// cluster_modules[i / opc][(i % opc) % size] (opc = objects per cluster), and
+// its fields start as page 0, next kNilDesc, reserve kFree, flags 0,
+// ref_count 0, replicas 0 and payload 0.
+void ExpectParentLayout(const DescriptorArena& arena,
+                        const std::vector<std::vector<hsim::ModuleId>>& cluster_modules) {
+  const std::uint32_t opc = arena.objects_per_cluster();
+  std::vector<const hsim::SimWord*> seen;
+  for (std::uint64_t i = 0; i < arena.capacity(); ++i) {
+    const std::vector<hsim::ModuleId>& modules = cluster_modules[i / opc];
+    const hsim::ModuleId home = modules[(i % opc) % modules.size()];
+    const PageDescriptor d = arena.desc(static_cast<DescRef>(i + 1));
+    std::vector<std::pair<const hsim::SimWord*, std::uint64_t>> words = {
+        {&d.page(), 0},
+        {&d.next(), kNilDesc},
+        {&d.reserve(), hsim::SimReserve::kFree},
+        {&d.flags(), 0},
+        {&d.ref_count(), 0},
+        {&d.replicas(), 0},
+    };
+    for (std::uint32_t w = 0; w < KernelConfig::kPayloadWords; ++w) {
+      words.emplace_back(&d.payload(w), 0);
+    }
+    ASSERT_EQ(words.size(), PageDescriptor::kWords);
+    for (const auto& [word, initial] : words) {
+      EXPECT_EQ(word->home, home) << "descriptor " << i;
+      EXPECT_EQ(word->value, initial) << "descriptor " << i;
+      EXPECT_EQ(word->sharers, 0u);
+      EXPECT_EQ(word->owner, hsim::SimWord::kNoOwner);
+      seen.push_back(word);
+    }
+  }
+  std::sort(seen.begin(), seen.end(), std::less<>());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end()) << "a word is shared";
+}
+
+TEST(DescriptorArenaTest, WordsKeepTheirHomesAndInitialValues) {
+  // Clusters of 4 with 1 to 4 modules each, so the round-robin wraps at
+  // different points in each cluster.
+  hsim::Engine engine;
+  hsim::Machine machine(&engine, hsim::MachineConfig{});
+  const std::vector<std::vector<hsim::ModuleId>> modules = {
+      {0}, {4, 5}, {8, 9, 10}, {12, 13, 14, 15}};
+  const DescriptorArena arena(&machine, /*cluster_size=*/4, /*objects_per_cluster=*/7,
+                              /*magazine_size=*/2, modules);
+  ASSERT_EQ(arena.capacity(), 28u);
+  ExpectParentLayout(arena, modules);
+}
+
+TEST(DescriptorArenaTest, KernelArenaKeepsEachClustersDescriptorsOnItsFirstModule) {
+  hsim::Engine engine;
+  hsim::Machine machine(&engine, hsim::MachineConfig{});
+  KernelSystem system(&machine, KernelConfig{});
+  const DescriptorArena& arena = system.desc_arena();
+  std::vector<std::vector<hsim::ModuleId>> modules;
+  for (std::uint32_t c = 0; c < system.num_clusters(); ++c) {
+    modules.push_back({static_cast<hsim::ModuleId>(c * system.config().cluster_size)});
+  }
+  ASSERT_EQ(arena.capacity(), std::uint64_t{KernelConfig{}.table_capacity} * modules.size());
+  ExpectParentLayout(arena, modules);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "src/hlock/mcs_locks.h"
+#include "src/hlock/mcs_try_lock.h"
 #include "src/hlock/spin_locks.h"
 #include "src/hprof/lock_site.h"
 
@@ -170,6 +171,72 @@ TEST(NativeLocks, ProfiledTtasRecordsEveryAcquisition) {
             static_cast<std::uint64_t>(kThreads) * kIters);
   EXPECT_EQ(site.hold().count(), site.acquisitions());
   EXPECT_EQ(site.wait().count(), site.acquisitions());
+}
+
+// Sum of the site's per-cluster enqueue counts.
+std::uint64_t TotalEnqueues(const hprof::LockSiteStats& site) {
+  std::uint64_t total = 0;
+  for (const auto& [cluster, share] : site.by_cluster()) {
+    total += share.enqueues;
+  }
+  return total;
+}
+
+TEST(NativeLocks, ProfiledTtasCountsAnEnqueuePerContendedEpisode) {
+  hprof::LockSiteStats site("native/ttas", /*procs_per_cluster=*/2);
+  TtasSpinLock lock;
+  lock.set_site(&site);
+  MutualExclusionStress(lock, /*threads=*/2, 20000);
+  EXPECT_EQ(TotalEnqueues(site), site.contended());
+}
+
+// The thread-id native locks attribute a waiter to the cluster of its thread
+// id.  The holder keeps the lock until the waiter has joined the site's queue,
+// so the waiter makes exactly one contended episode: one enqueue, counted
+// against cluster waiter_id / procs_per_cluster.
+template <class Acquire, class Release>
+void ExpectWaiterEnqueuesOnItsCluster(hprof::LockSiteStats& site, Acquire acquire,
+                                      Release release) {
+  acquire();
+  std::uint32_t waiter_id = 0;
+  std::thread waiter([&] {
+    waiter_id = CurrentThreadId();
+    acquire();
+    release();
+  });
+  while (site.max_queue_depth() == 0) {
+    std::this_thread::yield();
+  }
+  release();
+  waiter.join();
+  EXPECT_EQ(site.contended(), 1u);
+  EXPECT_EQ(TotalEnqueues(site), 1u);
+  const auto share = site.by_cluster().find(waiter_id / site.procs_per_cluster());
+  ASSERT_NE(share, site.by_cluster().end());
+  EXPECT_EQ(share->second.enqueues, 1u);
+}
+
+TEST(NativeLocks, ThreadIdLocksEnqueueOnTheWaitersCluster) {
+  {
+    hprof::LockSiteStats site("native/ttas", /*procs_per_cluster=*/2);
+    TtasSpinLock lock;
+    lock.set_site(&site);
+    ExpectWaiterEnqueuesOnItsCluster(site, [&] { lock.lock(); }, [&] { lock.unlock(); });
+  }
+  {
+    hprof::LockSiteStats site("native/mcs", /*procs_per_cluster=*/2);
+    McsLock lock;
+    lock.set_site(&site);
+    thread_local McsLock::QNode node;
+    ExpectWaiterEnqueuesOnItsCluster(site, [&] { lock.lock(node); },
+                                     [&] { lock.unlock(node); });
+  }
+  {
+    hprof::LockSiteStats site("native/mcs-try-v1", /*procs_per_cluster=*/2);
+    McsTryV1Lock lock;
+    lock.set_site(&site);
+    ExpectWaiterEnqueuesOnItsCluster(site, [&] { lock.lock(); }, [&] { lock.unlock(); });
+  }
 }
 
 TEST(NativeLocks, ProfiledMcsH2RecordsContentionAndHandoffs) {

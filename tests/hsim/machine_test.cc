@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/hsim/engine.h"
 #include "src/hsim/task.h"
 #include "src/hsim/types.h"
@@ -179,6 +185,49 @@ TEST_F(MachineTest, FetchAddSemantics) {
   }(&machine_.processor(0), &w));
   engine_.RunUntilIdle();
   EXPECT_EQ(w.value, 8u);
+}
+
+TEST_F(MachineTest, AllocWordsGivesContiguousZeroedRunsThatStayPut) {
+  // Runs of 1..37 words (a descriptor's 14 among them), one run longer than
+  // any chunk, and single words in between: enough to grow the chunks several
+  // times.  Each word is tagged once handed out; a later run that reused or
+  // zeroed an earlier word, or a chunk that moved, would break a tag.
+  struct Run {
+    SimWord* words;
+    std::size_t n;
+    ModuleId home;
+  };
+  std::vector<Run> runs;
+  std::uint64_t tag = 1;
+  for (std::size_t i = 0; i < 400; ++i) {
+    const std::size_t n = i == 200 ? 10000 : 1 + (i * 7) % 37;
+    const ModuleId home = static_cast<ModuleId>(i % machine_.num_processors());
+    SimWord* words = n == 1 ? &machine_.AllocWord(home) : machine_.AllocWords(home, n);
+    for (std::size_t w = 0; w < n; ++w) {
+      EXPECT_EQ(words[w].value, 0u);
+      EXPECT_EQ(words[w].home, home);
+      EXPECT_EQ(words[w].sharers, 0u);
+      EXPECT_EQ(words[w].owner, SimWord::kNoOwner);
+      words[w].value = tag++;
+    }
+    runs.push_back({words, n, home});
+  }
+  tag = 1;
+  for (const Run& run : runs) {
+    for (std::size_t w = 0; w < run.n; ++w) {
+      EXPECT_EQ(run.words[w].value, tag++);
+      EXPECT_EQ(run.words[w].home, run.home);
+    }
+  }
+  std::vector<std::pair<std::uintptr_t, std::uintptr_t>> spans;
+  for (const Run& run : runs) {
+    spans.emplace_back(reinterpret_cast<std::uintptr_t>(run.words),
+                       reinterpret_cast<std::uintptr_t>(run.words + run.n));
+  }
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].second, spans[i].first) << "runs overlap";
+  }
 }
 
 TEST_F(MachineTest, StationAssignment) {
