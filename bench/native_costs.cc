@@ -31,9 +31,12 @@
 // with fewer than 2 usable CPUs they and the clustered section are skipped.
 //
 // Gated in BENCH_BASELINE.json (the "ratios" series): mcs_h2/mcs_classic,
-// mcs_h2/tas, hybrid/fine, the read-path floor min(distributed/coarse / 3,
-// 1) and the counter total.  Raw nanoseconds and race rates ride in ungated
-// series: they measure the host, not the code.
+// mcs_h2/tas, mcs_try_v2/mcs_try_v1, hybrid/fine, the race floor
+// min(2 / (fissile/h2-mcs), 1) (queue waiters that overshoot their grant put
+// h2-mcs far behind fissile's TAS fast path), the read-path floor
+// min(distributed/coarse / 3, 1) and the counter total.  The race ratio
+// itself, raw nanoseconds and race rates ride ungated: the ratio swings too
+// widely in a short run, and the rest measure the host, not the code.
 
 #include <pthread.h>
 #include <sched.h>
@@ -389,12 +392,14 @@ int main(int argc, char** argv) {
   }
   ratios["ratio_mcs_h2_over_mcs_classic"] = median["mcs_h2"] / median["mcs_classic"];
   ratios["ratio_mcs_h2_over_tas"] = median["mcs_h2"] / median["tas"];
+  ratios["ratio_mcs_try_v2_over_mcs_try_v1"] = median["mcs_try_v2"] / median["mcs_try_v1"];
   ratios["ratio_hybrid_over_fine"] = median["hybrid_acquire"] / median["fine_acquire"];
   ratios["frac_counter_total_ok"] = counter_total == counter_adds ? 1.0 : 0.0;
-  std::printf("mcs_h2/mcs_classic %.2f, mcs_h2/tas %.2f, hybrid/fine %.2f, "
-              "counter total %s\n\n",
+  std::printf("mcs_h2/mcs_classic %.2f, mcs_h2/tas %.2f, mcs_try_v2/mcs_try_v1 %.2f, "
+              "hybrid/fine %.2f, counter total %s\n\n",
               ratios["ratio_mcs_h2_over_mcs_classic"], ratios["ratio_mcs_h2_over_tas"],
-              ratios["ratio_hybrid_over_fine"], counter_total == counter_adds ? "ok" : "WRONG");
+              ratios["ratio_mcs_try_v2_over_mcs_try_v1"], ratios["ratio_hybrid_over_fine"],
+              counter_total == counter_adds ? "ok" : "WRONG");
 
   if (threads == 0) {
     std::printf("lock race, read path and clustered table skipped: %u usable CPU, "
@@ -446,8 +451,15 @@ int main(int argc, char** argv) {
                   point.at("ops_per_s"), point.at("frac_contended"),
                   point.at("frac_same_processor"), point.at("frac_same_cluster"),
                   point.at("frac_cross_cluster"), point.at("max_queue_depth"));
+      median[std::string("race/") + kRaceLocks[c].name] = point.at("ops_per_s");
       report.AddSeries("lock_race", {{"lock", kRaceLocks[c].name}}).AddPoint(point);
     }
+    const double h2_rate = median["race/h2-mcs"];
+    const double fissile_over_h2 = h2_rate > 0 ? median["race/fissile"] / h2_rate : 0;
+    ratios["ratio_race_fissile_over_h2"] = fissile_over_h2;
+    ratios["frac_race_h2_floor_met"] =
+        fissile_over_h2 > 0 ? std::min(2.0 / fissile_over_h2, 1.0) : 0;
+    std::printf("fissile/h2-mcs %.2f (floor 2x)\n", fissile_over_h2);
 
     // Read-path race at the serving mix.
     const hlock::ReadPath kPaths[] = {hlock::ReadPath::kCoarse, hlock::ReadPath::kDistributed};

@@ -26,7 +26,19 @@
 namespace halloc {
 
 template <class B>
-class SharedPoolCore {
+class SharedPoolCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/halloc/shared_pool.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace halloc
+
+#endif  // HALLOC_SHARED_POOL_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class SharedPoolCore<B> {
  public:
   using Ctx = typename B::Ctx;
   using Word = typename B::Word;
@@ -51,33 +63,30 @@ class SharedPoolCore {
   SharedPoolCore& operator=(const SharedPoolCore&) = delete;
 
   TaskT<std::uint64_t> Alloc(Ctx& ctx) {
-    co_await Lock(ctx);
-    const std::uint64_t ref =
-        co_await b_->Load(ctx, head_, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT Lock(ctx);
+    const std::uint64_t ref = HLOCK_AWAIT b_->Load(ctx, head_, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (ref == kNil) {
       ++fails_;
-      co_await Unlock(ctx);
-      co_return kNil;
+      HLOCK_AWAIT Unlock(ctx);
+      HLOCK_RETURN kNil;
     }
-    const std::uint64_t next =
-        co_await b_->Load(ctx, next_[ref - 1], std::memory_order_relaxed);
-    co_await b_->Store(ctx, head_, next, std::memory_order_relaxed);
+    const std::uint64_t next = HLOCK_AWAIT b_->Load(ctx, next_[ref - 1], std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, head_, next, std::memory_order_relaxed);
     ++allocs_;
-    co_await Unlock(ctx);
-    co_return ref;
+    HLOCK_AWAIT Unlock(ctx);
+    HLOCK_RETURN ref;
   }
 
   TaskT<void> Free(Ctx& ctx, std::uint64_t ref) {
     B::Check(ref >= 1 && ref <= capacity_,
              "halloc: shared-pool free of out-of-range ref");
-    co_await Lock(ctx);
-    const std::uint64_t head =
-        co_await b_->Load(ctx, head_, std::memory_order_relaxed);
-    co_await b_->Store(ctx, next_[ref - 1], head, std::memory_order_relaxed);
-    co_await b_->Store(ctx, head_, ref, std::memory_order_relaxed);
+    HLOCK_AWAIT Lock(ctx);
+    const std::uint64_t head = HLOCK_AWAIT b_->Load(ctx, head_, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, next_[ref - 1], head, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, head_, ref, std::memory_order_relaxed);
     ++frees_;
-    co_await Unlock(ctx);
+    HLOCK_AWAIT Unlock(ctx);
   }
 
   std::uint64_t capacity() const { return capacity_; }
@@ -91,13 +100,13 @@ class SharedPoolCore {
  private:
   TaskT<void> Lock(Ctx& ctx) {
     hprof::SiteProbe::Wait wait = probe_.Begin(hlock::algo::ProbeCaller(b_, ctx));
-    co_await hlock::algo::LockWord(b_, ctx, lock_, &probe_, &wait);
+    HLOCK_AWAIT hlock::algo::LockWord(b_, ctx, lock_, &probe_, &wait);
     probe_.Grant(wait, hlock::algo::ProbeCaller(b_, ctx));
   }
 
   TaskT<void> Unlock(Ctx& ctx) {
     probe_.Release(hlock::algo::ProbeCaller(b_, ctx));
-    co_await hlock::algo::UnlockWord(b_, ctx, lock_);
+    HLOCK_AWAIT hlock::algo::UnlockWord(b_, ctx, lock_);
   }
 
   B* b_;
@@ -110,7 +119,4 @@ class SharedPoolCore {
   std::uint64_t fails_ = 0;
   hprof::SiteProbe probe_;
 };
-
-}  // namespace halloc
-
-#endif  // HALLOC_SHARED_POOL_H_
+#endif  // HLOCK_PASS

@@ -78,12 +78,12 @@ class SlabAllocator {
 
   T* AllocFor(std::uint32_t ctx_id) {
     typename Backend::Ctx ctx{ctx_id};
-    const std::uint64_t ref = core_.Alloc(ctx).Get();
+    const std::uint64_t ref = core_.Alloc(ctx);
     return ref == Core::kNil ? nullptr : &arena_[ref - 1];
   }
   void FreeFor(std::uint32_t ctx_id, T* obj) {
     typename Backend::Ctx ctx{ctx_id};
-    core_.Free(ctx, static_cast<std::uint64_t>(obj - arena_.data()) + 1).Get();
+    core_.Free(ctx, static_cast<std::uint64_t>(obj - arena_.data()) + 1);
   }
 
   std::uint64_t capacity() const { return core_.capacity(); }

@@ -129,7 +129,19 @@ struct DepotStats {
 };
 
 template <class B>
-class SlabAllocatorCore {
+class SlabAllocatorCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/halloc/slab_core.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace halloc
+
+#endif  // HALLOC_SLAB_CORE_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class SlabAllocatorCore<B> {
  public:
   using Ctx = typename B::Ctx;
   using Word = typename B::Word;
@@ -222,64 +234,62 @@ class SlabAllocatorCore {
   TaskT<std::uint64_t> Alloc(Ctx& ctx) {
     const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
     Cache& cache = caches_[cluster];
-    co_await hlock::algo::LockWord(b_, ctx, cache.lock);
-    std::uint64_t loaded =
-        co_await b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
+    HLOCK_AWAIT hlock::algo::LockWord(b_, ctx, cache.lock);
+    std::uint64_t loaded = HLOCK_AWAIT b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
     std::uint64_t cnt =
-        co_await b_->Load(ctx, mags_[loaded - 1].count, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 0, 1);
+        HLOCK_AWAIT b_->Load(ctx, mags_[loaded - 1].count, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (cnt == 0) {
-      const std::uint64_t prev =
-          co_await b_->Load(ctx, cache.prev, std::memory_order_relaxed);
+      const std::uint64_t prev = HLOCK_AWAIT b_->Load(ctx, cache.prev, std::memory_order_relaxed);
       const std::uint64_t pcnt =
-          co_await b_->Load(ctx, mags_[prev - 1].count, std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, mags_[prev - 1].count, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (pcnt != 0) {
         // Loaded/previous exchange: the cache is ping-ponging across an
         // alloc/free boundary; no depot traffic.
-        co_await b_->Store(ctx, cache.loaded, prev, std::memory_order_relaxed);
-        co_await b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Store(ctx, cache.loaded, prev, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
         loaded = prev;
         cnt = pcnt;
         ++cache_stats_[cluster].alloc_swap;
       } else {
         // Both magazines empty: depot trip.  Exchange the (empty) loaded
         // magazine for a full one, or carve a fresh slab into it.
-        co_await LockDepot(ctx);
-        const std::uint64_t full = co_await PopStack(ctx, full_top_);
+        HLOCK_AWAIT LockDepot(ctx);
+        const std::uint64_t full = HLOCK_AWAIT PopStack(ctx, full_top_);
         if (full != kNil) {
           ++depot_stats_.full_pops;
           ++depot_stats_.empty_pushes;
-          co_await PushStack(ctx, empty_top_, loaded);
-          co_await b_->Store(ctx, cache.loaded, full, std::memory_order_relaxed);
+          HLOCK_AWAIT PushStack(ctx, empty_top_, loaded);
+          HLOCK_AWAIT b_->Store(ctx, cache.loaded, full, std::memory_order_relaxed);
           loaded = full;
         } else {
-          co_await Carve(ctx, cluster, mags_[loaded - 1]);
+          HLOCK_AWAIT Carve(ctx, cluster, mags_[loaded - 1]);
         }
-        co_await UnlockDepot(ctx);
-        cnt = co_await b_->Load(ctx, mags_[loaded - 1].count,
-                                std::memory_order_relaxed);
-        co_await b_->Exec(ctx, 0, 1);
+        HLOCK_AWAIT UnlockDepot(ctx);
+        cnt = HLOCK_AWAIT b_->Load(ctx, mags_[loaded - 1].count,
+                                   std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (cnt == 0) {
           // Every ref is live or stranded in other clusters' part-full
           // magazines: genuine exhaustion, the shared-free-list analogue of
           // an empty list.
           ++cache_stats_[cluster].alloc_fail;
-          co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
-          co_return kNil;
+          HLOCK_AWAIT hlock::algo::UnlockWord(b_, ctx, cache.lock);
+          HLOCK_RETURN kNil;
         }
         ++cache_stats_[cluster].alloc_depot;
       }
     } else {
       ++cache_stats_[cluster].alloc_fast;
     }
-    const std::uint64_t ref = co_await PopRound(ctx, mags_[loaded - 1], cnt);
-    co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
+    const std::uint64_t ref = HLOCK_AWAIT PopRound(ctx, mags_[loaded - 1], cnt);
+    HLOCK_AWAIT hlock::algo::UnlockWord(b_, ctx, cache.lock);
     if (debug_allocated_ != nullptr) {
       B::Check(debug_allocated_[ref] == 0, "halloc: ref allocated twice");
       debug_allocated_[ref] = 1;
     }
-    co_return ref;
+    HLOCK_RETURN ref;
   }
 
   TaskT<void> Free(Ctx& ctx, std::uint64_t ref) {
@@ -290,21 +300,19 @@ class SlabAllocatorCore {
     }
     const std::uint32_t cluster = b_->ClusterOfCtx(b_->CtxId(ctx));
     Cache& cache = caches_[cluster];
-    co_await hlock::algo::LockWord(b_, ctx, cache.lock);
-    std::uint64_t loaded =
-        co_await b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
+    HLOCK_AWAIT hlock::algo::LockWord(b_, ctx, cache.lock);
+    std::uint64_t loaded = HLOCK_AWAIT b_->Load(ctx, cache.loaded, std::memory_order_relaxed);
     std::uint64_t cnt =
-        co_await b_->Load(ctx, mags_[loaded - 1].count, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 0, 1);
+        HLOCK_AWAIT b_->Load(ctx, mags_[loaded - 1].count, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (cnt >= magazine_size_) {
-      const std::uint64_t prev =
-          co_await b_->Load(ctx, cache.prev, std::memory_order_relaxed);
+      const std::uint64_t prev = HLOCK_AWAIT b_->Load(ctx, cache.prev, std::memory_order_relaxed);
       const std::uint64_t pcnt =
-          co_await b_->Load(ctx, mags_[prev - 1].count, std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, mags_[prev - 1].count, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (pcnt < magazine_size_) {
-        co_await b_->Store(ctx, cache.loaded, prev, std::memory_order_relaxed);
-        co_await b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Store(ctx, cache.loaded, prev, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
         loaded = prev;
         cnt = pcnt;
         ++cache_stats_[cluster].free_swap;
@@ -312,15 +320,15 @@ class SlabAllocatorCore {
         // Both magazines full: hand the full previous to the depot and take
         // an empty back (always available -- see the invariant in the file
         // comment); the old loaded becomes the new previous.
-        co_await LockDepot(ctx);
+        HLOCK_AWAIT LockDepot(ctx);
         ++depot_stats_.full_pushes;
-        co_await PushStack(ctx, full_top_, prev);
-        const std::uint64_t empty = co_await PopStack(ctx, empty_top_);
+        HLOCK_AWAIT PushStack(ctx, full_top_, prev);
+        const std::uint64_t empty = HLOCK_AWAIT PopStack(ctx, empty_top_);
         B::Check(empty != kNil, "halloc: depot out of empty magazines");
         ++depot_stats_.empty_pops;
-        co_await UnlockDepot(ctx);
-        co_await b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
-        co_await b_->Store(ctx, cache.loaded, empty, std::memory_order_relaxed);
+        HLOCK_AWAIT UnlockDepot(ctx);
+        HLOCK_AWAIT b_->Store(ctx, cache.prev, loaded, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Store(ctx, cache.loaded, empty, std::memory_order_relaxed);
         loaded = empty;
         cnt = 0;
         ++cache_stats_[cluster].free_depot;
@@ -328,8 +336,8 @@ class SlabAllocatorCore {
     } else {
       ++cache_stats_[cluster].free_fast;
     }
-    co_await PushRound(ctx, mags_[loaded - 1], cnt, ref);
-    co_await hlock::algo::UnlockWord(b_, ctx, cache.lock);
+    HLOCK_AWAIT PushRound(ctx, mags_[loaded - 1], cnt, ref);
+    HLOCK_AWAIT hlock::algo::UnlockWord(b_, ctx, cache.lock);
   }
 
   // --- introspection / profiling -------------------------------------------
@@ -392,7 +400,7 @@ class SlabAllocatorCore {
 
   TaskT<void> LockDepot(Ctx& ctx) {
     hprof::SiteProbe::Wait wait = depot_probe_.Begin(hlock::algo::ProbeCaller(b_, ctx));
-    co_await hlock::algo::LockWord(b_, ctx, depot_lock_, &depot_probe_, &wait);
+    HLOCK_AWAIT hlock::algo::LockWord(b_, ctx, depot_lock_, &depot_probe_, &wait);
     depot_probe_.Grant(wait, hlock::algo::ProbeCaller(b_, ctx));
   }
 
@@ -405,29 +413,27 @@ class SlabAllocatorCore {
       // the next depot visitor pops a magazine whose contents it reads stale.
       mo = std::memory_order_relaxed;
     }
-    co_await hlock::algo::UnlockWord(b_, ctx, depot_lock_, mo);
+    HLOCK_AWAIT hlock::algo::UnlockWord(b_, ctx, depot_lock_, mo);
   }
 
   // Depot magazine stacks.  Callers hold the depot lock, so all accesses are
   // relaxed; the depot unlock's release publishes them.
   TaskT<std::uint64_t> PopStack(Ctx& ctx, Word& top) {
-    const std::uint64_t head =
-        co_await b_->Load(ctx, top, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 0, 1);
+    const std::uint64_t head = HLOCK_AWAIT b_->Load(ctx, top, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (head == kNil) {
-      co_return kNil;
+      HLOCK_RETURN kNil;
     }
     const std::uint64_t next =
-        co_await b_->Load(ctx, mags_[head - 1].next, std::memory_order_relaxed);
-    co_await b_->Store(ctx, top, next, std::memory_order_relaxed);
-    co_return head;
+        HLOCK_AWAIT b_->Load(ctx, mags_[head - 1].next, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, top, next, std::memory_order_relaxed);
+    HLOCK_RETURN head;
   }
 
   TaskT<void> PushStack(Ctx& ctx, Word& top, std::uint64_t mag) {
-    const std::uint64_t head =
-        co_await b_->Load(ctx, top, std::memory_order_relaxed);
-    co_await b_->Store(ctx, mags_[mag - 1].next, head, std::memory_order_relaxed);
-    co_await b_->Store(ctx, top, mag, std::memory_order_relaxed);
+    const std::uint64_t head = HLOCK_AWAIT b_->Load(ctx, top, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, mags_[mag - 1].next, head, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, top, mag, std::memory_order_relaxed);
   }
 
   // Carves up to one magazine's worth of never-allocated refs into `into`.
@@ -439,9 +445,9 @@ class SlabAllocatorCore {
     for (std::uint32_t i = 0; i < num_clusters_; ++i) {
       const std::uint32_t donor = (cluster + i) % num_clusters_;
       const std::uint64_t next =
-          co_await b_->Load(ctx, slab_next_[donor], std::memory_order_relaxed);
+          HLOCK_AWAIT b_->Load(ctx, slab_next_[donor], std::memory_order_relaxed);
       const std::uint64_t limit = (donor + 1ull) * objects_per_cluster_ + 1;
-      co_await b_->Exec(ctx, 1, 1);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 1);
       if (next >= limit) {
         continue;
       }
@@ -450,19 +456,19 @@ class SlabAllocatorCore {
         n = magazine_size_;
       }
       for (std::uint64_t j = 0; j < n; ++j) {
-        co_await b_->Store(ctx, into.rounds[j], next + j,
-                           std::memory_order_relaxed);
-        co_await b_->Exec(ctx, 1, 1);
+        HLOCK_AWAIT b_->Store(ctx, into.rounds[j], next + j,
+                              std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Exec(ctx, 1, 1);
       }
-      co_await b_->Store(ctx, slab_next_[donor], next + n,
-                         std::memory_order_relaxed);
-      co_await b_->Store(ctx, into.count, n, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, slab_next_[donor], next + n,
+                            std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, into.count, n, std::memory_order_relaxed);
       if (donor == cluster) {
         ++depot_stats_.carves;
       } else {
         ++depot_stats_.steals;
       }
-      co_return;
+      HLOCK_RETURN;
     }
   }
 
@@ -472,8 +478,8 @@ class SlabAllocatorCore {
     B::Check(cnt >= 1 && cnt <= magazine_size_,
              "halloc: magazine count out of range");
     const std::uint64_t ref =
-        co_await b_->Load(ctx, mag.rounds[cnt - 1], std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 0);
+        HLOCK_AWAIT b_->Load(ctx, mag.rounds[cnt - 1], std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 0);
     std::uint64_t dec = 1;
     if (broken_ == AllocBroken::kBrokenCountSkew) {
       // BUG (deliberate, for hcheck): double decrement -- leaks a round per
@@ -481,16 +487,16 @@ class SlabAllocatorCore {
       // fires on the next pop from this magazine.
       dec = 2;
     }
-    co_await b_->Store(ctx, mag.count, cnt - dec, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, mag.count, cnt - dec, std::memory_order_relaxed);
     B::Check(ref != kNil, "halloc: nil round in magazine");
-    co_return ref;
+    HLOCK_RETURN ref;
   }
 
   TaskT<void> PushRound(Ctx& ctx, Mag& mag, std::uint64_t cnt, std::uint64_t ref) {
     B::Check(cnt < magazine_size_, "halloc: push into a full magazine");
-    co_await b_->Store(ctx, mag.rounds[cnt], ref, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 0);
-    co_await b_->Store(ctx, mag.count, cnt + 1, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, mag.rounds[cnt], ref, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 0);
+    HLOCK_AWAIT b_->Store(ctx, mag.count, cnt + 1, std::memory_order_relaxed);
   }
 
   B* b_;
@@ -510,7 +516,4 @@ class SlabAllocatorCore {
   hprof::SiteProbe depot_probe_;
   std::unique_ptr<std::uint8_t[]> debug_allocated_;
 };
-
-}  // namespace halloc
-
-#endif  // HALLOC_SLAB_CORE_H_
+#endif  // HLOCK_PASS

@@ -1,10 +1,12 @@
 // The memory-backend concept: one lock algorithm, three memories.
 //
-// Every lock algorithm in src/hlock/algo/ is written exactly once, as a
-// coroutine over an abstract *memory backend* B.  A backend supplies the
-// pieces that the native Platform policy (src/hlock/platform.h) and the
-// HECTOR simulator's Processor API (src/hsim/machine.h) both provide, just
-// with different spellings and costs:
+// Every lock algorithm in src/hlock/algo/ is written exactly once, over an
+// abstract *memory backend* B, and compiled twice from that one text
+// (two_pass.h): as coroutines for a backend whose operations suspend, and as
+// plain functions for a backend whose operations are done when they return.
+// A backend supplies the pieces that the native Platform policy
+// (src/hlock/platform.h) and the HECTOR simulator's Processor API
+// (src/hsim/machine.h) both provide, just with different spellings and costs:
 //
 //   typename B::Ctx       per-caller execution context (a thread id slot
 //                         natively, a simulated Processor in hsim)
@@ -21,16 +23,16 @@
 //                         natively (deterministic under hcheck -- wall-clock
 //                         deadlines would break schedule replay)
 //   template <class T> using TaskT
-//                         the coroutine task type the algorithm bodies
-//                         return: hsim::Task<T> (lazy, costed co_awaits) in
-//                         the simulator, SyncTask<T> (below; every await is
-//                         immediately ready) natively and under hcheck.  Both
-//                         take their frames from the per-thread FrameCache
-//                         (frame_cache.h), not from operator new per call.
+//                         what the algorithm bodies return: hsim::Task<T>
+//                         (lazy, costed co_awaits) in the simulator, which
+//                         makes them coroutines; T itself natively and under
+//                         hcheck, which makes them plain functions
+//                         (PlainBackend below).
 //
 // Operations (all carry std::memory_order parameters; the native backend
 // honours them, the simulator -- a sequentially consistent machine with an
-// explicit write buffer -- ignores them):
+// explicit write buffer -- ignores them).  A plain backend returns T for
+// each TaskT<T> (Load returns u64, Store void):
 //
 //   TaskT<u64>  Load(ctx, word, mo)
 //   TaskT<void> Store(ctx, word, v, mo)
@@ -43,18 +45,17 @@
 //               atomic in the simulator (comparison-point rationale in
 //               machine.h).  The beyond-the-paper locks (CNA, HMCS-T,
 //               Fissile) assume CAS hardware.
-//   Exec, SpinPause and BackoffUnits return aw<void>: any awaitable of void,
-//   not necessarily a TaskT, which every call site awaits at once --
-//   Ready<void> natively, the engine's WaitAwaiter (a plain delay that
-//   allocates no frame) in hsim.
+//   aw<void> is void natively and, in hsim, the engine's WaitAwaiter (a plain
+//   delay that allocates no frame), which every call site awaits at once.
 //
 //   aw<void> Exec(ctx, registers, branches)
 //               charge register/branch instructions (simulator only; free
 //               natively) -- this is what makes fig4 instruction counts
 //               reproduce through the shared layer
 //   aw<void> SpinPause(ctx, spin_wait)     one pacing step of a local spin
-//               loop (fixed 16-tick delay in hsim; Platform::Backoff::Pause,
-//               i.e. exactly one hcheck schedule point, natively)
+//               loop (fixed 16-tick delay in hsim; natively one round of a
+//               short Platform::Backoff, i.e. exactly one hcheck schedule
+//               point)
 //   aw<void> BackoffUnits(ctx, units, at_cap)   an *explicit* backoff delay in
 //               backend time units, used only by algorithms whose backoff is
 //               part of the algorithm itself (Figure 3c's doubling delay)
@@ -83,7 +84,7 @@
 // halloc locks and the drw writer mutex.
 //
 // Each memory has one lock adapter: hlock::NativeLock<Core, Platform>
-// (native_lock.h) runs any core eagerly, natively and under hcheck;
+// (native_lock.h) calls any core's plain pass, natively and under hcheck;
 // hsim::SimLockOf<Core> (src/hsim/locks/sim_lock.h) runs it in the
 // simulator.  McsTryV2Lock is TimeoutMcsCore with a zero-budget try_lock.
 //
@@ -100,12 +101,8 @@
 #ifndef HLOCK_ALGO_BACKEND_H_
 #define HLOCK_ALGO_BACKEND_H_
 
-#include <coroutine>
+#include <concepts>
 #include <cstdint>
-#include <exception>
-#include <utility>
-
-#include "src/hlock/algo/frame_cache.h"
 
 namespace hprof {
 class LockSiteStats;
@@ -137,112 +134,13 @@ class ProbeCaller {
   typename B::Ctx& ctx_;
 };
 
-// An already-available value, awaitable without suspending.  The native
-// backend returns these from every operation, so an algorithm coroutine runs
-// to completion synchronously inside the initial call.
-template <typename T>
-struct Ready {
-  T value;
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  T await_resume() noexcept { return std::move(value); }
-};
+// A backend whose TaskT<T> is T itself completes every operation at the
+// call, so the cores compile against it as plain functions (two_pass.h).
+template <class B>
+concept PlainBackend = std::same_as<typename B::template TaskT<int>, int>;
 
-template <>
-struct Ready<void> {
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  void await_resume() const noexcept {}
-};
-
-// Eagerly-run coroutine task: initial_suspend = never, so the body executes
-// synchronously (all its awaitables are Ready or other SyncTasks); by the
-// time the caller holds the SyncTask the result -- or a captured exception --
-// is already there.  Exceptions are rethrown from Get()/await_resume():
-// hcheck unwinds checked code with its AbortExecution exception, which must
-// pass through nested lock coroutines intact.  The frame comes from
-// FrameCache, so a lock step calls no allocator once the cache is warm.
-template <typename T>
-class SyncTask {
- public:
-  struct promise_type : CachedFramePromise {
-    T value{};
-    std::exception_ptr error;
-
-    SyncTask get_return_object() {
-      return SyncTask(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { error = std::current_exception(); }
-  };
-
-  explicit SyncTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-  SyncTask(SyncTask&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  SyncTask(const SyncTask&) = delete;
-  SyncTask& operator=(const SyncTask&) = delete;
-  ~SyncTask() {
-    if (h_) {
-      h_.destroy();
-    }
-  }
-
-  T Get() {
-    if (h_.promise().error) {
-      std::rethrow_exception(h_.promise().error);
-    }
-    return std::move(h_.promise().value);
-  }
-
-  // Awaitable, so cores can co_await sub-cores (HMCS-T awaiting its
-  // per-level TimeoutMcsCore) regardless of backend.
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  T await_resume() { return Get(); }
-
- private:
-  std::coroutine_handle<promise_type> h_;
-};
-
-template <>
-class SyncTask<void> {
- public:
-  struct promise_type : CachedFramePromise {
-    std::exception_ptr error;
-
-    SyncTask get_return_object() {
-      return SyncTask(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { error = std::current_exception(); }
-  };
-
-  explicit SyncTask(std::coroutine_handle<promise_type> h) : h_(h) {}
-  SyncTask(SyncTask&& other) noexcept : h_(std::exchange(other.h_, nullptr)) {}
-  SyncTask(const SyncTask&) = delete;
-  SyncTask& operator=(const SyncTask&) = delete;
-  ~SyncTask() {
-    if (h_) {
-      h_.destroy();
-    }
-  }
-
-  void Get() {
-    if (h_.promise().error) {
-      std::rethrow_exception(h_.promise().error);
-    }
-  }
-
-  bool await_ready() const noexcept { return true; }
-  void await_suspend(std::coroutine_handle<>) const noexcept {}
-  void await_resume() { Get(); }
-
- private:
-  std::coroutine_handle<promise_type> h_;
-};
+template <class B>
+concept SuspendingBackend = !PlainBackend<B>;
 
 }  // namespace hlock::algo
 

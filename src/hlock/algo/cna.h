@@ -48,7 +48,19 @@
 namespace hlock::algo {
 
 template <class B>
-class CnaCore {
+class CnaCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/cna.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_CNA_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class CnaCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -91,25 +103,25 @@ class CnaCore {
     hprof::SiteProbe::Wait wait = probe_.Begin(ProbeCaller(b_, ctx));
 
     const std::uint64_t pred =
-        co_await b_->FetchStore(ctx, tail_, me, std::memory_order_acq_rel);
-    co_await b_->Exec(ctx, 1, 2);
+        HLOCK_AWAIT b_->FetchStore(ctx, tail_, me, std::memory_order_acq_rel);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 2);
     if (pred == kNil) {
       probe_.Grant(wait, ProbeCaller(b_, ctx));
       b_->EndSpan(ctx, span);
-      co_return;
+      HLOCK_RETURN;
     }
 
     probe_.Contend(wait, ProbeCaller(b_, ctx));
-    co_await b_->Store(ctx, nodes_[pred - 1].next, me, std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, nodes_[pred - 1].next, me, std::memory_order_release);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
       const std::uint64_t locked =
-          co_await b_->Load(ctx, node.locked, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, node.locked, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (locked == 0) {
         break;
       }
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
     // Rest-state re-init, absorbed by the write buffer (nobody reads our
     // locked flag until our next contended acquire).
@@ -124,79 +136,77 @@ class CnaCore {
     probe_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
 
-    std::uint64_t succ = co_await b_->Load(ctx, node.next, std::memory_order_acquire);
-    co_await b_->Exec(ctx, 0, 1);
+    std::uint64_t succ = HLOCK_AWAIT b_->Load(ctx, node.next, std::memory_order_acquire);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     // Holder-only state: relaxed, published to the next holder by the grant.
-    const std::uint64_t sec_head =
-        co_await b_->Load(ctx, sec_head_, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 0, 1);
+    const std::uint64_t sec_head = HLOCK_AWAIT b_->Load(ctx, sec_head_, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
 
     if (succ == kNil) {
       if (sec_head == kNil) {
         // Nobody anywhere: free the lock if we are still the tail.
-        const bool freed = co_await b_->CompareSwap(ctx, tail_, me, kNil,
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+        const bool freed = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, me, kNil,
+                                                       std::memory_order_acq_rel,
+                                                       std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (freed) {
-          co_return;  // node.next is already nil: rest state holds
+          HLOCK_RETURN;  // node.next is already nil: rest state holds
         }
       } else if (broken_splice_) {
         // BUG (deliberate, for hcheck): free the lock word, then grant the
         // secondary head.  In the window between the two, a fresh enqueuer
         // swaps itself onto the nil tail and believes it holds the lock --
         // two holders at once.
-        const bool freed = co_await b_->CompareSwap(ctx, tail_, me, kNil,
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+        const bool freed = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, me, kNil,
+                                                       std::memory_order_acq_rel,
+                                                       std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (freed) {
-          co_await ClearSecondary(ctx, /*streak=*/0);
-          co_await Grant(ctx, sec_head);
-          co_return;
+          HLOCK_AWAIT ClearSecondary(ctx, /*streak=*/0);
+          HLOCK_AWAIT Grant(ctx, sec_head);
+          HLOCK_RETURN;
         }
       } else {
         // Main queue drained but remote waiters are parked: promote the
         // secondary queue to main.  sec_tail's next link is nil (invariant),
         // so a concurrent enqueuer behind it links cleanly.
         const std::uint64_t sec_tail =
-            co_await b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
-        const bool spliced = co_await b_->CompareSwap(ctx, tail_, me, sec_tail,
-                                                      std::memory_order_acq_rel,
-                                                      std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+            HLOCK_AWAIT b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
+        const bool spliced = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, me, sec_tail,
+                                                         std::memory_order_acq_rel,
+                                                         std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (spliced) {
-          co_await ClearSecondary(ctx, /*streak=*/0);
-          co_await Grant(ctx, sec_head);
-          co_return;
+          HLOCK_AWAIT ClearSecondary(ctx, /*streak=*/0);
+          HLOCK_AWAIT Grant(ctx, sec_head);
+          HLOCK_RETURN;
         }
       }
       // The tail CAS failed: someone is enqueueing behind us; wait for the
       // link to appear.
       typename B::SpinWait sw = b_->MakeSpinWait();
       while (succ == kNil) {
-        succ = co_await b_->Load(ctx, node.next, std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+        succ = HLOCK_AWAIT b_->Load(ctx, node.next, std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (succ == kNil) {
-          co_await b_->SpinPause(ctx, sw);
+          HLOCK_AWAIT b_->SpinPause(ctx, sw);
         }
       }
     }
 
     b_->PostStore(ctx, node.next, kNil);  // rest-state re-init (buffered)
 
-    const std::uint64_t streak =
-        co_await b_->Load(ctx, streak_, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 1);
+    const std::uint64_t streak = HLOCK_AWAIT b_->Load(ctx, streak_, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     if (sec_head != kNil && streak + 1 >= max_streak_) {
       // Starvation bound hit: the parked remote waiters run first.  Append
       // the main queue after the secondary one and grant its head.
       const std::uint64_t sec_tail =
-          co_await b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
-      co_await b_->Store(ctx, nodes_[sec_tail - 1].next, succ, std::memory_order_release);
-      co_await ClearSecondary(ctx, /*streak=*/0);
-      co_await Grant(ctx, sec_head);
-      co_return;
+          HLOCK_AWAIT b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, nodes_[sec_tail - 1].next, succ, std::memory_order_release);
+      HLOCK_AWAIT ClearSecondary(ctx, /*streak=*/0);
+      HLOCK_AWAIT Grant(ctx, sec_head);
+      HLOCK_RETURN;
     }
 
     // Scan the main queue for the first same-cluster waiter.  Only links
@@ -205,11 +215,11 @@ class CnaCore {
     std::uint64_t cur = succ;
     std::uint64_t prev = kNil;
     bool found_local = b_->ClusterOfCtx(cur - 1) == my_cluster;
-    co_await b_->Exec(ctx, 1, 1);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     while (!found_local) {
       const std::uint64_t nxt =
-          co_await b_->Load(ctx, nodes_[cur - 1].next, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 1, 2);
+          HLOCK_AWAIT b_->Load(ctx, nodes_[cur - 1].next, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 2);
       if (nxt == kNil) {
         break;  // cur may be the tail; it cannot be detached
       }
@@ -223,52 +233,49 @@ class CnaCore {
         // Detach the skipped remote prefix [succ..prev] into the secondary
         // queue.  Clearing prev's stale next *now* -- before the prefix is
         // published as secondary state -- upholds the sec_tail invariant.
-        co_await b_->Store(ctx, nodes_[prev - 1].next, kNil, std::memory_order_relaxed);
-        co_await AppendSecondary(ctx, sec_head, succ, prev);
+        HLOCK_AWAIT b_->Store(ctx, nodes_[prev - 1].next, kNil, std::memory_order_relaxed);
+        HLOCK_AWAIT AppendSecondary(ctx, sec_head, succ, prev);
       }
-      co_await b_->Store(ctx, streak_, streak + 1, std::memory_order_relaxed);
-      co_await Grant(ctx, cur);
-      co_return;
+      HLOCK_AWAIT b_->Store(ctx, streak_, streak + 1, std::memory_order_relaxed);
+      HLOCK_AWAIT Grant(ctx, cur);
+      HLOCK_RETURN;
     }
 
     // No local waiter in the stable part of the queue: hand over remotely.
     // Run the (older) parked remote waiters first when there are any.
     if (sec_head != kNil) {
       const std::uint64_t sec_tail =
-          co_await b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
-      co_await b_->Store(ctx, nodes_[sec_tail - 1].next, succ, std::memory_order_release);
-      co_await ClearSecondary(ctx, /*streak=*/0);
-      co_await Grant(ctx, sec_head);
-      co_return;
+          HLOCK_AWAIT b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, nodes_[sec_tail - 1].next, succ, std::memory_order_release);
+      HLOCK_AWAIT ClearSecondary(ctx, /*streak=*/0);
+      HLOCK_AWAIT Grant(ctx, sec_head);
+      HLOCK_RETURN;
     }
-    co_await b_->Store(ctx, streak_, 0, std::memory_order_relaxed);
-    co_await Grant(ctx, succ);
+    HLOCK_AWAIT b_->Store(ctx, streak_, 0, std::memory_order_relaxed);
+    HLOCK_AWAIT Grant(ctx, succ);
   }
 
   TaskT<bool> TryAcquire(Ctx& ctx) {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
     // The lock is never free with parked secondary waiters, so grabbing a nil
     // tail cannot overtake them.
-    const bool taken = co_await b_->CompareSwap(ctx, tail_, kNil, me,
-                                                std::memory_order_acq_rel,
-                                                std::memory_order_acquire);
+    const bool taken = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, kNil, me,
+                                                   std::memory_order_acq_rel,
+                                                   std::memory_order_acquire);
     if (taken) {
       probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
-    co_return taken;
+    HLOCK_RETURN taken;
   }
 
   std::uint64_t max_streak() const { return max_streak_; }
   const std::string& name() const { return name_; }
 
-  // Test-only relaxed peeks at the queue words, for constructing targeted
+  // Test-only relaxed peek at a queue link, for constructing targeted
   // model-checking schedules (the hcheck tests gate on queue shape before
   // releasing the race under test).  Never used by the algorithm itself.
-  TaskT<std::uint64_t> DebugLoadTail(Ctx& ctx) {
-    co_return co_await b_->Load(ctx, tail_, std::memory_order_relaxed);
-  }
   TaskT<std::uint64_t> DebugLoadNext(Ctx& ctx, std::uint32_t id) {
-    co_return co_await b_->Load(ctx, nodes_[id].next, std::memory_order_relaxed);
+    HLOCK_RETURN HLOCK_AWAIT b_->Load(ctx, nodes_[id].next, std::memory_order_relaxed);
   }
 
   // Attaches a profiling site (null detaches); recording is host-side only,
@@ -283,14 +290,14 @@ class CnaCore {
   };
 
   TaskT<void> Grant(Ctx& ctx, std::uint64_t who) {
-    co_await b_->Store(ctx, nodes_[who - 1].locked, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 1, 1);
+    HLOCK_AWAIT b_->Store(ctx, nodes_[who - 1].locked, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
   }
 
   TaskT<void> ClearSecondary(Ctx& ctx, std::uint64_t streak) {
-    co_await b_->Store(ctx, sec_head_, kNil, std::memory_order_relaxed);
-    co_await b_->Store(ctx, sec_tail_, kNil, std::memory_order_relaxed);
-    co_await b_->Store(ctx, streak_, streak, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, sec_head_, kNil, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, sec_tail_, kNil, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, streak_, streak, std::memory_order_relaxed);
   }
 
   // Appends the detached chain [first..last] to the secondary queue.  last's
@@ -298,14 +305,14 @@ class CnaCore {
   TaskT<void> AppendSecondary(Ctx& ctx, std::uint64_t sec_head, std::uint64_t first,
                               std::uint64_t last) {
     if (sec_head == kNil) {
-      co_await b_->Store(ctx, sec_head_, first, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, sec_head_, first, std::memory_order_relaxed);
     } else {
       const std::uint64_t sec_tail =
-          co_await b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
-      co_await b_->Store(ctx, nodes_[sec_tail - 1].next, first, std::memory_order_relaxed);
+          HLOCK_AWAIT b_->Load(ctx, sec_tail_, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, nodes_[sec_tail - 1].next, first, std::memory_order_relaxed);
     }
-    co_await b_->Store(ctx, sec_tail_, last, std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 1);
+    HLOCK_AWAIT b_->Store(ctx, sec_tail_, last, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
   }
 
   B* b_;
@@ -319,7 +326,4 @@ class CnaCore {
   std::unique_ptr<Node[]> nodes_;
   hprof::SiteProbe probe_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_CNA_H_
+#endif  // HLOCK_PASS

@@ -71,7 +71,19 @@ enum class DrwBroken : std::uint8_t {
 };
 
 template <class B>
-class DrwLockCore {
+class DrwLockCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/drwlock.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_DRWLOCK_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class DrwLockCore<B> {
  public:
   using Ctx = typename B::Ctx;
   using Word = typename B::Word;
@@ -109,35 +121,33 @@ class DrwLockCore {
     hprof::SiteProbe::Wait wait = probe.Begin(ProbeCaller(b_, ctx));
     Word& counter = counters_[cluster].w;
     while (true) {
-      co_await BumpReader(ctx, counter);
-      const std::uint64_t flag =
-          co_await b_->Load(ctx, wflag_, std::memory_order_seq_cst);
-      co_await b_->Exec(ctx, 0, 1);
+      HLOCK_AWAIT BumpReader(ctx, counter);
+      const std::uint64_t flag = HLOCK_AWAIT b_->Load(ctx, wflag_, std::memory_order_seq_cst);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (flag == 0) {
         break;  // admitted: the sweep (if any) will wait for our count
       }
       // A writer is (or was) sweeping: back the increment out so the sweep
       // can complete, then spin locally until the flag clears.
-      co_await DropReader(ctx, counter, std::memory_order_release);
+      HLOCK_AWAIT DropReader(ctx, counter, std::memory_order_release);
       if (broken_ == DrwBroken::kBrokenUnderflow) {
         // BUG (deliberate, for hcheck): a second decrement releases a count
         // we never held -- underflow, or a phantom admission for a racing
         // reader whose increment we just erased.
-        co_await DropReader(ctx, counter, std::memory_order_release);
+        HLOCK_AWAIT DropReader(ctx, counter, std::memory_order_release);
       }
       probe.Contend(wait, ProbeCaller(b_, ctx));
       PollBackoff poll;
       while (true) {
-        const std::uint64_t f =
-            co_await b_->Load(ctx, wflag_, std::memory_order_relaxed);
-        co_await b_->Exec(ctx, 0, 1);
+        const std::uint64_t f = HLOCK_AWAIT b_->Load(ctx, wflag_, std::memory_order_relaxed);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (f == 0) {
           break;
         }
         // Doubling delay, not fixed-interval polling: the flag's home module
         // also serves the writer's release store, and every waiting reader is
         // polling the same word.
-        co_await poll.Step(b_, ctx);
+        HLOCK_AWAIT poll.Step(b_, ctx);
       }
     }
     probe.Grant(wait, ProbeCaller(b_, ctx));
@@ -149,23 +159,22 @@ class DrwLockCore {
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     Word& counter = counters_[cluster].w;
-    co_await BumpReader(ctx, counter);
-    const std::uint64_t flag =
-        co_await b_->Load(ctx, wflag_, std::memory_order_seq_cst);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT BumpReader(ctx, counter);
+    const std::uint64_t flag = HLOCK_AWAIT b_->Load(ctx, wflag_, std::memory_order_seq_cst);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (flag != 0) {
-      co_await DropReader(ctx, counter, std::memory_order_release);
-      co_return false;
+      HLOCK_AWAIT DropReader(ctx, counter, std::memory_order_release);
+      HLOCK_RETURN false;
     }
     readers_[id].GrantAtOnce(ProbeCaller(b_, ctx));
-    co_return true;
+    HLOCK_RETURN true;
   }
 
   TaskT<void> ReleaseShared(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
     readers_[id].Release(ProbeCaller(b_, ctx));
-    co_await DropReader(ctx, counters_[b_->ClusterOfCtx(id)].w,
-                        std::memory_order_release);
+    HLOCK_AWAIT DropReader(ctx, counters_[b_->ClusterOfCtx(id)].w,
+                           std::memory_order_release);
   }
 
   // --- writer side ----------------------------------------------------------
@@ -175,42 +184,42 @@ class DrwLockCore {
   TaskT<void> Acquire(Ctx& ctx) {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
     hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
-    co_await LockWord(b_, ctx, wmutex_, &writer_, &wait);
-    co_await WriterArriveTimed(ctx, wait);
+    HLOCK_AWAIT LockWord(b_, ctx, wmutex_, &writer_, &wait);
+    HLOCK_AWAIT WriterArriveTimed(ctx, wait);
     b_->EndSpan(ctx, span);
   }
 
   // No-spin writer entry: false if another writer holds the mutex *or* any
   // reader is in -- the flag is backed out rather than waited on.
   TaskT<bool> TryAcquire(Ctx& ctx) {
-    const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 1);
+    const bool won = HLOCK_AWAIT b_->CompareSwap(ctx, wmutex_, 0, 1,
+                                                 std::memory_order_acquire,
+                                                 std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     if (!won) {
-      co_return false;
+      HLOCK_RETURN false;
     }
-    co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     for (std::uint32_t c = 0; c < num_clusters_; ++c) {
       const std::uint64_t readers =
-          co_await b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (readers != 0) {
-        co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
-        co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
-        co_return false;
+        HLOCK_AWAIT b_->Store(ctx, wflag_, 0, std::memory_order_release);
+        HLOCK_AWAIT b_->Store(ctx, wmutex_, 0, std::memory_order_release);
+        HLOCK_RETURN false;
       }
     }
     writer_.GrantAtOnce(ProbeCaller(b_, ctx));
-    co_return true;
+    HLOCK_RETURN true;
   }
 
   TaskT<void> Release(Ctx& ctx) {
     writer_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
-    co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
-    co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, wmutex_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
   }
 
   // --- flag + sweep, for embedders that bring their own writer mutex -------
@@ -220,13 +229,13 @@ class DrwLockCore {
 
   TaskT<void> WriterArrive(Ctx& ctx) {
     const hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
-    co_await WriterArriveTimed(ctx, wait);
+    HLOCK_AWAIT WriterArriveTimed(ctx, wait);
   }
 
   TaskT<void> WriterDepart(Ctx& ctx) {
     writer_.Release(ProbeCaller(b_, ctx));
-    co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
   }
 
   // --- upgrade / downgrade --------------------------------------------------
@@ -236,26 +245,26 @@ class DrwLockCore {
   // the caller must ReleaseShared and take the write path from scratch.  On
   // success the shared hold has been consumed.
   TaskT<bool> TryUpgrade(Ctx& ctx) {
-    const bool won = co_await b_->CompareSwap(ctx, wmutex_, 0, 1,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 1);
+    const bool won = HLOCK_AWAIT b_->CompareSwap(ctx, wmutex_, 0, 1,
+                                                 std::memory_order_acquire,
+                                                 std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     if (!won) {
-      co_return false;
+      HLOCK_RETURN false;
     }
     const std::uint32_t id = b_->CtxId(ctx);
     const std::uint32_t cluster = b_->ClusterOfCtx(id);
     hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
     readers_[id].Release(ProbeCaller(b_, ctx));
-    co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
     // Drop our own read count *after* the flag is up: between the drop and
     // the sweep no new reader can slip in, so the sweep's zero is ours to
     // take exclusively.
-    co_await DropReader(ctx, counters_[cluster].w, std::memory_order_release);
+    HLOCK_AWAIT DropReader(ctx, counters_[cluster].w, std::memory_order_release);
     writer_.Contend(wait, ProbeCaller(b_, ctx));
-    co_await Sweep(ctx);
+    HLOCK_AWAIT Sweep(ctx);
     writer_.Grant(wait, ProbeCaller(b_, ctx));
-    co_return true;
+    HLOCK_RETURN true;
   }
 
   // Downgrades an exclusive hold to shared without a window: the caller's
@@ -264,10 +273,10 @@ class DrwLockCore {
   TaskT<void> Downgrade(Ctx& ctx) {
     const std::uint32_t id = b_->CtxId(ctx);
     writer_.Release(ProbeCaller(b_, ctx));
-    co_await BumpReader(ctx, counters_[b_->ClusterOfCtx(id)].w);
+    HLOCK_AWAIT BumpReader(ctx, counters_[b_->ClusterOfCtx(id)].w);
     readers_[id].GrantAtOnce(ProbeCaller(b_, ctx));
-    co_await b_->Store(ctx, wflag_, 0, std::memory_order_release);
-    co_await b_->Store(ctx, wmutex_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, wmutex_, 0, std::memory_order_release);
   }
 
   // --- introspection / profiling -------------------------------------------
@@ -315,32 +324,30 @@ class DrwLockCore {
   TaskT<void> BumpReader(Ctx& ctx, Word& counter) {
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
-      const std::uint64_t v =
-          co_await b_->Load(ctx, counter, std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
-      if (co_await b_->CompareSwap(ctx, counter, v, v + 1,
-                                   std::memory_order_seq_cst,
-                                   std::memory_order_relaxed)) {
-        co_return;
+      const std::uint64_t v = HLOCK_AWAIT b_->Load(ctx, counter, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 1);
+      if (HLOCK_AWAIT b_->CompareSwap(ctx, counter, v, v + 1,
+                                      std::memory_order_seq_cst,
+                                      std::memory_order_relaxed)) {
+        HLOCK_RETURN;
       }
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
   }
 
   TaskT<void> DropReader(Ctx& ctx, Word& counter, std::memory_order ok_mo) {
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
-      const std::uint64_t v =
-          co_await b_->Load(ctx, counter, std::memory_order_relaxed);
-      co_await b_->Exec(ctx, 1, 1);
+      const std::uint64_t v = HLOCK_AWAIT b_->Load(ctx, counter, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 1);
       // A decrement from 0 would wrap into a phantom reader population no
       // sweep could ever drain.
       B::Check(v != 0, "drwlock reader count underflow");
-      if (co_await b_->CompareSwap(ctx, counter, v, v - 1, ok_mo,
-                                   std::memory_order_relaxed)) {
-        co_return;
+      if (HLOCK_AWAIT b_->CompareSwap(ctx, counter, v, v - 1, ok_mo,
+                                      std::memory_order_relaxed)) {
+        HLOCK_RETURN;
       }
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
   }
 
@@ -357,14 +364,14 @@ class DrwLockCore {
       PollBackoff poll;
       while (true) {
         const std::uint64_t readers =
-            co_await b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
-        co_await b_->Exec(ctx, 0, 1);
+            HLOCK_AWAIT b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (readers == 0) {
           break;
         }
         // Back off between polls: the sweep's loads occupy the counter's home
         // module, which is exactly where the drain decrements must land.
-        co_await poll.Step(b_, ctx);
+        HLOCK_AWAIT poll.Step(b_, ctx);
       }
     }
   }
@@ -375,10 +382,10 @@ class DrwLockCore {
       // Flagless pre-drain: readers arriving now are admitted ahead of us.
       // Only once the population hits zero does the flag go up, so the
       // definitive sweep below is near-instant in the common case.
-      co_await Sweep(ctx);
+      HLOCK_AWAIT Sweep(ctx);
     }
-    co_await b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
-    co_await Sweep(ctx);
+    HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
+    HLOCK_AWAIT Sweep(ctx);
     writer_.Grant(wait, ProbeCaller(b_, ctx));
   }
 
@@ -396,7 +403,4 @@ class DrwLockCore {
   std::unique_ptr<hprof::SiteProbe[]> readers_;
   hprof::SiteProbe writer_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_DRWLOCK_H_
+#endif  // HLOCK_PASS

@@ -30,7 +30,19 @@
 namespace hlock::algo {
 
 template <class B>
-class FissileCore {
+class FissileCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/fissile.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_FISSILE_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class FissileCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -64,38 +76,38 @@ class FissileCore {
     typename B::SpinWait sw = b_->MakeSpinWait();
     for (std::uint32_t attempt = 0; attempt < fast_attempts_; ++attempt) {
       const std::uint64_t old =
-          co_await b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 1, 2);
+          HLOCK_AWAIT b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 2);
       if (old == 0) {
         probe_.Grant(wait, ProbeCaller(b_, ctx));
         b_->EndSpan(ctx, span);
-        co_return;
+        HLOCK_RETURN;
       }
       // A lost fast-path swap makes the acquire contended; only the slow
       // path below joins the site's queue.
       wait.contended = true;
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
 
     // Slow path: queue up, and as queue head spin for the outer word.  The
     // inner lock is released before entering the critical section -- the
     // outer word alone protects the data.
     probe_.Contend(wait, ProbeCaller(b_, ctx));
-    co_await inner_.Acquire(ctx);
+    HLOCK_AWAIT inner_.Acquire(ctx);
     if (!broken_barge_) {
       while (true) {
         const std::uint64_t old =
-            co_await b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
-        co_await b_->Exec(ctx, 1, 2);
+            HLOCK_AWAIT b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 1, 2);
         if (old == 0) {
           break;
         }
-        co_await b_->SpinPause(ctx, sw);
+        HLOCK_AWAIT b_->SpinPause(ctx, sw);
       }
     }
     // BUG when broken_barge_ (deliberate, for hcheck): skip the outer fight
     // and run concurrently with any fast-path holder.
-    co_await inner_.Release(ctx);
+    HLOCK_AWAIT inner_.Release(ctx);
     probe_.Grant(wait, ProbeCaller(b_, ctx));
     b_->EndSpan(ctx, span);
   }
@@ -103,19 +115,18 @@ class FissileCore {
   TaskT<void> Release(Ctx& ctx) {
     probe_.Release(ProbeCaller(b_, ctx));
     b_->ReleaseInstant(ctx, name_);
-    co_await b_->Store(ctx, outer_, 0, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT b_->Store(ctx, outer_, 0, std::memory_order_release);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
   }
 
   TaskT<bool> TryAcquire(Ctx& ctx) {
-    const std::uint64_t old =
-        co_await b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
-    co_await b_->Exec(ctx, 1, 1);
+    const std::uint64_t old = HLOCK_AWAIT b_->FetchStore(ctx, outer_, 1, std::memory_order_acquire);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     const bool taken = old == 0;
     if (taken) {
       probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
-    co_return taken;
+    HLOCK_RETURN taken;
   }
 
   std::uint32_t fast_attempts() const { return fast_attempts_; }
@@ -135,8 +146,4 @@ class FissileCore {
   typename B::Word outer_;  // 1 = held; the actual lock
   hprof::SiteProbe probe_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_FISSILE_H_
-
+#endif  // HLOCK_PASS

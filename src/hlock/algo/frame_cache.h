@@ -1,8 +1,10 @@
-// A per-thread cache of coroutine frames, shared by every coroutine task type
-// in the repository (hsim::Task and hlock::algo::SyncTask).
+// A per-thread cache of coroutine frames, for the repository's one coroutine
+// task type, hsim::Task (and the engine's detached spawn wrapper).
 //
-// Each lock step and each simulated memory access is a coroutine; without a
-// cache every one calls operator new and operator delete for its frame.
+// In the simulator each lock step and each simulated memory access is a
+// coroutine; without a cache every one calls operator new and operator
+// delete for its frame.  Native and model-checked lock cores are plain
+// functions (two_pass.h) and allocate no frame at all.
 // FrameCache keeps one free list per 64-byte size class on each thread: an
 // n-byte frame takes a block of the next multiple of 64, and a freed block
 // goes on the freeing thread's list for the next frame of its class.  Frames

@@ -40,7 +40,19 @@
 namespace hlock::algo {
 
 template <class B>
-class HmcsTCore {
+class HmcsTCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/hmcs.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_HMCS_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class HmcsTCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -89,10 +101,10 @@ class HmcsTCore {
     typename B::Span span = b_->AcquireSpan(ctx, name_);
     hprof::SiteProbe::Wait wait = probe_.Begin(ProbeCaller(b_, ctx));
 
-    typename Level::Grant local = co_await locals_[cluster]->Acquire(ctx, deadline);
+    typename Level::Grant local = HLOCK_AWAIT locals_[cluster]->Acquire(ctx, deadline);
     if (local.node == 0) {
       b_->EndSpan(ctx, span);
-      co_return false;  // timed out in the local queue
+      HLOCK_RETURN false;  // timed out in the local queue
     }
     local_node_[id].value = local.node;
     if (local.token == Level::kGrantedInherit) {
@@ -101,33 +113,33 @@ class HmcsTCore {
       probe_.Contend(wait, ProbeCaller(b_, ctx));
       probe_.Grant(wait, ProbeCaller(b_, ctx));
       b_->EndSpan(ctx, span);
-      co_return true;
+      HLOCK_RETURN true;
     }
 
-    typename Level::Grant global = co_await global_->Acquire(ctx, deadline);
+    typename Level::Grant global = HLOCK_AWAIT global_->Acquire(ctx, deadline);
     if (global.node == 0) {
       // Timed out at the global level while holding the local lock: hand the
       // local lock on (plain grant -- the successor must fight for the
       // global lock itself) so the cluster is not stranded.
-      co_await locals_[cluster]->ReleaseWithToken(ctx, local.node, Level::kGranted);
+      HLOCK_AWAIT locals_[cluster]->ReleaseWithToken(ctx, local.node, Level::kGranted);
       b_->EndSpan(ctx, span);
-      co_return false;
+      HLOCK_RETURN false;
     }
     global_node_[cluster].value = global.node;
-    co_await b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
     if (local.contended || global.contended) {
       probe_.Contend(wait, ProbeCaller(b_, ctx));
     }
     probe_.Grant(wait, ProbeCaller(b_, ctx));
     b_->EndSpan(ctx, span);
-    co_return true;
+    HLOCK_RETURN true;
   }
 
   // Untimed acquire: an infinite deadline never expires, so this is the
   // plain blocking HMCS algorithm.
   TaskT<void> Acquire(Ctx& ctx) {
     typename B::Deadline deadline = b_->MakeDeadline(ctx, kInfiniteBudget);
-    co_await Acquire(ctx, deadline);
+    HLOCK_AWAIT Acquire(ctx, deadline);
   }
 
   TaskT<void> Release(Ctx& ctx) {
@@ -138,18 +150,18 @@ class HmcsTCore {
     b_->ReleaseInstant(ctx, name_);
 
     const std::uint64_t streak =
-        co_await b_->Load(ctx, streak_[cluster], std::memory_order_relaxed);
-    co_await b_->Exec(ctx, 1, 1);
+        HLOCK_AWAIT b_->Load(ctx, streak_[cluster], std::memory_order_relaxed);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     if (streak + 1 < threshold_) {
       // Try the one-handoff fast path: pass local AND global to the next
       // same-cluster waiter.  The streak is bumped *before* the pass -- after
       // it the successor owns the lock (and the streak word) and a late
       // write would race with its release.
-      co_await b_->Store(ctx, streak_[cluster], streak + 1, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, streak_[cluster], streak + 1, std::memory_order_relaxed);
       const std::uint64_t rest =
-          co_await locals_[cluster]->TryPassLocal(ctx, node, Level::kGrantedInherit);
+          HLOCK_AWAIT locals_[cluster]->TryPassLocal(ctx, node, Level::kGrantedInherit);
       if (rest == 0) {
-        co_return;  // passed; the successor inherited the global lock
+        HLOCK_RETURN;  // passed; the successor inherited the global lock
       }
       // Nobody (live) behind us in the local queue; we still hold both
       // locks.  The handle may have changed if abandoned nodes were adopted.
@@ -157,16 +169,15 @@ class HmcsTCore {
     }
     // Cycle the global lock: the next cluster (or a late local waiter, via
     // the normal two-level acquire) runs.
-    co_await b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
-    co_await global_->Release(ctx, global_node_[cluster].value);
-    co_await locals_[cluster]->ReleaseWithToken(ctx, node, Level::kGranted);
+    HLOCK_AWAIT b_->Store(ctx, streak_[cluster], 0, std::memory_order_relaxed);
+    HLOCK_AWAIT global_->Release(ctx, global_node_[cluster].value);
+    HLOCK_AWAIT locals_[cluster]->ReleaseWithToken(ctx, node, Level::kGranted);
   }
 
   std::uint64_t threshold() const { return threshold_; }
   const std::string& name() const { return name_; }
   Level& global_level() { return *global_; }
   Level& local_level(std::uint32_t cluster) { return *locals_[cluster]; }
-  std::uint32_t num_levels() const { return static_cast<std::uint32_t>(locals_.size()) + 1; }
   // Abandoned queue nodes reclaimed by releasers, over every level.
   std::uint64_t abandoned_nodes_reclaimed() const {
     std::uint64_t n = global_->abandoned_nodes_reclaimed();
@@ -195,7 +206,4 @@ class HmcsTCore {
   std::unique_ptr<Padded<std::uint64_t>[]> local_node_;   // per caller
   hprof::SiteProbe probe_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_HMCS_H_
+#endif  // HLOCK_PASS

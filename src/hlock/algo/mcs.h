@@ -65,7 +65,19 @@ inline const char* McsVariantName(McsVariant v) {
 }
 
 template <class B>
-class McsCore {
+class McsCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/mcs.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_MCS_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class McsCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -100,38 +112,38 @@ class McsCore {
 
     if (variant_ == McsVariant::kOriginal) {
       // I->next := nil  -- hoisted out of the critical path by modification H1.
-      co_await b_->Store(ctx, node.next, kNil, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, node.next, kNil, std::memory_order_relaxed);
     }
 
     const std::uint64_t pred =
-        co_await b_->FetchStore(ctx, tail_, me, std::memory_order_acq_rel);
+        HLOCK_AWAIT b_->FetchStore(ctx, tail_, me, std::memory_order_acq_rel);
     // Compare predecessor against nil, branch, return (uncontended exit).
-    co_await b_->Exec(ctx, 1, 2);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 2);
     if (pred == kNil) {
       probe_.Grant(wait, ProbeCaller(b_, ctx));
       b_->EndSpan(ctx, span);
-      co_return;
+      HLOCK_RETURN;
     }
 
     // Contended path: link behind the predecessor and spin on our own node.
     probe_.Contend(wait, ProbeCaller(b_, ctx));
     if (variant_ == McsVariant::kOriginal) {
       // I->locked := true.  H1/H2 keep the flag pre-set at rest.
-      co_await b_->Store(ctx, node.locked, 1, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, node.locked, 1, std::memory_order_relaxed);
     }
-    co_await b_->Store(ctx, nodes_[pred - 1].next, me, std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, nodes_[pred - 1].next, me, std::memory_order_release);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
       const std::uint64_t locked =
-          co_await b_->Load(ctx, node.locked, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, node.locked, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (locked == 0) {
         break;
       }
       // Pace the spin: the flag is local, but a back-to-back load loop would
       // monopolize this caller's own memory module and stall remote accesses
       // to the data that happens to live there.
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
     if (variant_ != McsVariant::kOriginal) {
       // Re-establish the rest-state invariant: the releaser cleared our flag.
@@ -153,25 +165,25 @@ class McsCore {
     std::uint64_t succ = kNil;
     if (variant_ != McsVariant::kH2) {
       // Original / H1: check for a known successor first.
-      succ = co_await b_->Load(ctx, node.next, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+      succ = HLOCK_AWAIT b_->Load(ctx, node.next, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (succ != kNil) {
         if (variant_ == McsVariant::kH1) {
           b_->PostStore(ctx, node.next, kNil);  // re-init (contended, buffered)
         }
-        co_await b_->Store(ctx, nodes_[succ - 1].locked, 0, std::memory_order_release);
-        co_await b_->Exec(ctx, 1, 2);
-        co_return;
+        HLOCK_AWAIT b_->Store(ctx, nodes_[succ - 1].locked, 0, std::memory_order_release);
+        HLOCK_AWAIT b_->Exec(ctx, 1, 2);
+        HLOCK_RETURN;
       }
     }
 
     // Swap nil into the lock word.  If we were the tail, the lock is free and
     // we are done -- this is the whole uncontended release for H2.
     const std::uint64_t old_tail =
-        co_await b_->FetchStore(ctx, tail_, kNil, std::memory_order_acq_rel);
-    co_await b_->Exec(ctx, 2, 2);
+        HLOCK_AWAIT b_->FetchStore(ctx, tail_, kNil, std::memory_order_acq_rel);
+    HLOCK_AWAIT b_->Exec(ctx, 2, 2);
     if (old_tail == me) {
-      co_return;
+      HLOCK_RETURN;
     }
 
     // Someone enqueued behind us (and under H2 possibly long ago): we have
@@ -180,39 +192,39 @@ class McsCore {
     // (the "usurper"); restore the real tail and splice our waiters after it.
     repairs_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t usurper =
-        co_await b_->FetchStore(ctx, tail_, old_tail, std::memory_order_acq_rel);
+        HLOCK_AWAIT b_->FetchStore(ctx, tail_, old_tail, std::memory_order_acq_rel);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (succ == kNil) {
-      succ = co_await b_->Load(ctx, node.next, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+      succ = HLOCK_AWAIT b_->Load(ctx, node.next, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (succ == kNil) {
-        co_await b_->SpinPause(ctx, sw);
+        HLOCK_AWAIT b_->SpinPause(ctx, sw);
       }
     }
     if (variant_ != McsVariant::kOriginal) {
       b_->PostStore(ctx, node.next, kNil);  // re-init (contended, buffered)
     }
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     if (usurper != kNil) {
       // The usurper chain runs first; append our waiters after its tail.
-      co_await b_->Store(ctx, nodes_[usurper - 1].next, succ, std::memory_order_release);
+      HLOCK_AWAIT b_->Store(ctx, nodes_[usurper - 1].next, succ, std::memory_order_release);
     } else {
-      co_await b_->Store(ctx, nodes_[succ - 1].locked, 0, std::memory_order_release);
+      HLOCK_AWAIT b_->Store(ctx, nodes_[succ - 1].locked, 0, std::memory_order_release);
     }
-    co_await b_->Exec(ctx, 1, 1);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
   }
 
   // A Distributed Lock acquires by unconditional swap; a true try-acquire
   // needs CAS (a modern-hardware comparison point): grab only if free.
   TaskT<bool> TryAcquire(Ctx& ctx) {
     const std::uint64_t me = b_->CtxId(ctx) + 1;
-    const bool taken = co_await b_->CompareSwap(ctx, tail_, kNil, me,
+    const bool taken = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, kNil, me,
                                                std::memory_order_acq_rel,
                                                std::memory_order_acquire);
     if (taken) {
       probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
-    co_return taken;
+    HLOCK_RETURN taken;
   }
 
   // Number of contended releases that had to repair the queue.
@@ -240,7 +252,4 @@ class McsCore {
   std::atomic<std::uint64_t> repairs_{0};
   hprof::SiteProbe probe_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_MCS_H_
+#endif  // HLOCK_PASS

@@ -4,6 +4,9 @@
 // hlock::StdPlatform it runs on raw std::atomic for production and benches;
 // bound to hcheck::Platform the same instantiation runs on the model
 // checker's vector-clock memory, where every operation is a schedule point.
+// TaskT<T> is T and every operation returns its plain value, so the cores
+// run here as their plain pass (two_pass.h): ordinary calls, with no
+// coroutine frame and nothing to await.
 // Simulated-machine concerns (instruction costing, word homes, trace spans)
 // degrade to no-ops; memory orders are honoured exactly as written by the
 // algorithm cores.
@@ -55,11 +58,9 @@ class NativeBackend {
   };
 
   template <typename T>
-  using TaskT = SyncTask<T>;
+  using TaskT = T;
 
-  struct SpinWait {
-    typename Platform::Backoff backoff;
-  };
+  using SpinWait = typename Platform::Backoff;
 
   struct Deadline {
     std::uint64_t remaining = 0;
@@ -72,50 +73,45 @@ class NativeBackend {
   }
 
   // --- memory operations ----------------------------------------------------
-  Ready<std::uint64_t> Load(Ctx&, Word& w, std::memory_order mo) {
-    return {w.v.load(mo)};
-  }
-  Ready<void> Store(Ctx&, Word& w, std::uint64_t v, std::memory_order mo) {
-    w.v.store(v, mo);
-    return {};
-  }
+  std::uint64_t Load(Ctx&, Word& w, std::memory_order mo) { return w.v.load(mo); }
+  void Store(Ctx&, Word& w, std::uint64_t v, std::memory_order mo) { w.v.store(v, mo); }
   // Write-buffered store in the simulator; a relaxed store here.  Used by the
   // cores only for rest-state re-initialization of locations nobody reads
   // until the writer's own next acquire.
   void PostStore(Ctx&, Word& w, std::uint64_t v) {
     w.v.store(v, std::memory_order_relaxed);
   }
-  Ready<std::uint64_t> FetchStore(Ctx&, Word& w, std::uint64_t v, std::memory_order mo) {
-    return {w.v.exchange(v, mo)};
+  std::uint64_t FetchStore(Ctx&, Word& w, std::uint64_t v, std::memory_order mo) {
+    return w.v.exchange(v, mo);
   }
-  Ready<bool> CompareSwap(Ctx&, Word& w, std::uint64_t expected, std::uint64_t desired,
-                          std::memory_order ok_mo, std::memory_order fail_mo) {
-    return {w.v.compare_exchange_strong(expected, desired, ok_mo, fail_mo)};
+  bool CompareSwap(Ctx&, Word& w, std::uint64_t expected, std::uint64_t desired,
+                   std::memory_order ok_mo, std::memory_order fail_mo) {
+    return w.v.compare_exchange_strong(expected, desired, ok_mo, fail_mo);
   }
 
   // --- costing / pacing -----------------------------------------------------
-  Ready<void> Exec(Ctx&, std::uint32_t /*registers*/, std::uint32_t /*branches*/) {
-    return {};  // instruction costing is a simulator concern
-  }
-  SpinWait MakeSpinWait() { return SpinWait{typename Platform::Backoff()}; }
+  // Instruction costing is a simulator concern.
+  void Exec(Ctx&, std::uint32_t /*registers*/, std::uint32_t /*branches*/) {}
+  // A local spin waits on a word only its own grant writes, so a long pause
+  // saves no traffic and only delays the moment the waiter sees the grant:
+  // the pace doubles from 1 to 16 pauses, then yields each round (the
+  // few-core valve), not hlock::Backoff's default 4 -> 1024.
+  SpinWait MakeSpinWait() { return SpinWait(1, 16); }
   // One local-spin pacing step: exactly one Platform::Backoff round, which
   // under hcheck is exactly one Yield -- the same schedule-point shape the
   // hand-written locks had, so existing model-checking results carry over.
-  Ready<void> SpinPause(Ctx&, SpinWait& sw) {
-    sw.backoff.Pause();
-    return {};
-  }
+  void SpinPause(Ctx&, SpinWait& sw) { sw.Pause(); }
   // Explicit algorithmic backoff (Figure 3c's doubling delay), in backend
   // time units.  Natively a unit is one pause instruction; `at_cap` is the
   // few-core-host valve hlock::Backoff has at its cap -- once the delay stops
   // growing, let the holder have the core.
-  Ready<void> BackoffUnits(Ctx&, std::uint64_t units, bool at_cap) {
+  void BackoffUnits(Ctx&, std::uint64_t units, bool at_cap) {
     if constexpr (kModelChecked) {
       // Delay magnitude is meaningless to the model checker, and every Pause
       // is a schedule point: one Yield is a complete backoff (the same shape
       // the hand-written spin loops had, one yield per retry).
       Platform::Pause();
-      return {};
+      return;
     }
     constexpr std::uint64_t kMaxSpins = 4096;
     const std::uint64_t spins = units < kMaxSpins ? units : kMaxSpins;
@@ -125,7 +121,6 @@ class NativeBackend {
     if (at_cap) {
       std::this_thread::yield();
     }
-    return {};
   }
 
   // --- identity / topology (host-side, free) --------------------------------

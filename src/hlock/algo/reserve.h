@@ -33,7 +33,19 @@
 namespace hlock::algo {
 
 template <class B>
-struct ReserveCore {
+struct ReserveCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/reserve.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_RESERVE_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+struct ReserveCore<B> {
   using Ctx = typename B::Ctx;
   using Word = typename B::Word;
   template <typename T>
@@ -48,45 +60,45 @@ struct ReserveCore {
   // Attempts to reserve exclusively.  Returns false if already reserved
   // (exclusively or by readers).
   static TaskT<bool> TrySetExclusive(B& b, Ctx& ctx, Word& word) {
-    const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_acquire);
-    co_await b.Exec(ctx, 0, 1);
+    const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_acquire);
+    HLOCK_AWAIT b.Exec(ctx, 0, 1);
     if (state != kFree) {
-      co_return false;
+      HLOCK_RETURN false;
     }
-    co_await b.Store(ctx, word, kExclusive, std::memory_order_relaxed);
-    co_return true;
+    HLOCK_AWAIT b.Store(ctx, word, kExclusive, std::memory_order_relaxed);
+    HLOCK_RETURN true;
   }
 
   // Attempts to add a reader.  Returns false if exclusively reserved.
   static TaskT<bool> TryAddReader(B& b, Ctx& ctx, Word& word) {
-    const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_acquire);
-    co_await b.Exec(ctx, 1, 1);
+    const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_acquire);
+    HLOCK_AWAIT b.Exec(ctx, 1, 1);
     if (state == kExclusive) {
-      co_return false;
+      HLOCK_RETURN false;
     }
     // The reader count must never reach kExclusive: that increment would make
     // a fully-read-shared entry indistinguishable from an exclusive
     // reservation.  Unreachable in practice (2^64 - 2 concurrent readers),
     // but cheap, and it keeps the encoding honest under hcheck.
     B::Check(state + 1 != kExclusive, "reserve reader count saturated into kExclusive");
-    co_await b.Store(ctx, word, state + 1, std::memory_order_relaxed);
-    co_return true;
+    HLOCK_AWAIT b.Store(ctx, word, state + 1, std::memory_order_relaxed);
+    HLOCK_RETURN true;
   }
 
   // Drops a reader (also requires the coarse lock: reader counts are shared
   // state with no atomic update primitive).
   static TaskT<void> RemoveReader(B& b, Ctx& ctx, Word& word) {
-    const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_relaxed);
-    co_await b.Exec(ctx, 1, 0);
+    const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_relaxed);
+    HLOCK_AWAIT b.Exec(ctx, 1, 0);
     // A decrement from 0 would wrap to kExclusive -- a phantom exclusive
     // reservation nobody can ever release.
     B::Check(state != kFree && state != kExclusive, "reserve reader release without a reader hold");
-    co_await b.Store(ctx, word, state - 1, std::memory_order_relaxed);
+    HLOCK_AWAIT b.Store(ctx, word, state - 1, std::memory_order_relaxed);
   }
 
   // Reads the current state (for handlers that must fail rather than spin).
   static TaskT<std::uint64_t> Read(B& b, Ctx& ctx, Word& word) {
-    co_return co_await b.Load(ctx, word, std::memory_order_acquire);
+    HLOCK_RETURN HLOCK_AWAIT b.Load(ctx, word, std::memory_order_acquire);
   }
 
   // --- atomic (coarse-lock-free) transition family ---
@@ -101,25 +113,25 @@ struct ReserveCore {
   // per word, never mix.
 
   static TaskT<bool> TrySetExclusiveAtomic(B& b, Ctx& ctx, Word& word) {
-    const bool won = co_await b.CompareSwap(ctx, word, kFree, kExclusive,
-                                            std::memory_order_acquire,
-                                            std::memory_order_relaxed);
-    co_await b.Exec(ctx, 0, 1);
-    co_return won;
+    const bool won = HLOCK_AWAIT b.CompareSwap(ctx, word, kFree, kExclusive,
+                                               std::memory_order_acquire,
+                                               std::memory_order_relaxed);
+    HLOCK_AWAIT b.Exec(ctx, 0, 1);
+    HLOCK_RETURN won;
   }
 
   static TaskT<bool> TryAddReaderAtomic(B& b, Ctx& ctx, Word& word) {
     while (true) {
-      const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_relaxed);
-      co_await b.Exec(ctx, 1, 1);
+      const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_relaxed);
+      HLOCK_AWAIT b.Exec(ctx, 1, 1);
       if (state == kExclusive) {
-        co_return false;
+        HLOCK_RETURN false;
       }
       B::Check(state + 1 != kExclusive, "reserve reader count saturated into kExclusive");
-      if (co_await b.CompareSwap(ctx, word, state, state + 1,
-                                 std::memory_order_acquire,
-                                 std::memory_order_relaxed)) {
-        co_return true;
+      if (HLOCK_AWAIT b.CompareSwap(ctx, word, state, state + 1,
+                                    std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+        HLOCK_RETURN true;
       }
       // Lost the race to another reader or a writer: re-read and retry
       // (bounded in practice by the reader population).
@@ -128,14 +140,14 @@ struct ReserveCore {
 
   static TaskT<void> RemoveReaderAtomic(B& b, Ctx& ctx, Word& word) {
     while (true) {
-      const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_relaxed);
-      co_await b.Exec(ctx, 1, 1);
+      const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_relaxed);
+      HLOCK_AWAIT b.Exec(ctx, 1, 1);
       B::Check(state != kFree && state != kExclusive,
                "reserve reader release without a reader hold");
-      if (co_await b.CompareSwap(ctx, word, state, state - 1,
-                                 std::memory_order_release,
-                                 std::memory_order_relaxed)) {
-        co_return;
+      if (HLOCK_AWAIT b.CompareSwap(ctx, word, state, state - 1,
+                                    std::memory_order_release,
+                                    std::memory_order_relaxed)) {
+        HLOCK_RETURN;
       }
     }
   }
@@ -144,7 +156,7 @@ struct ReserveCore {
 
   // The exclusive holder clears its reservation with a plain (release) store.
   static TaskT<void> ClearExclusive(B& b, Ctx& ctx, Word& word) {
-    co_await b.Store(ctx, word, kFree, std::memory_order_release);
+    HLOCK_AWAIT b.Store(ctx, word, kFree, std::memory_order_release);
   }
 
   // Backoff state for the spin protocols.  One *logical* acquire attempt may
@@ -166,35 +178,31 @@ struct ReserveCore {
   // doubling delay across retries of the same logical acquire.
   static TaskT<void> SpinUntilFree(B& b, Ctx& ctx, Word& word, std::uint64_t max_backoff,
                                    Backoff& bo) {
-    co_await SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/true);
+    HLOCK_AWAIT SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/true);
   }
 
   // Spins until the word is observed *not exclusively* reserved (reader
   // admission); same caveats as SpinUntilFree.
   static TaskT<void> SpinWhileExclusive(B& b, Ctx& ctx, Word& word, std::uint64_t max_backoff,
                                         Backoff& bo) {
-    co_await SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/false);
+    HLOCK_AWAIT SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/false);
   }
 
-  // One-shot conveniences for callers whose retry loop is the spin itself
+  // One-shot convenience for callers whose retry loop is the spin itself
   // (no coarse-lock round trip, so nothing outlives the call).
   static TaskT<void> SpinUntilFree(B& b, Ctx& ctx, Word& word, std::uint64_t max_backoff) {
     Backoff bo;
-    co_await SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/true);
-  }
-  static TaskT<void> SpinWhileExclusive(B& b, Ctx& ctx, Word& word, std::uint64_t max_backoff) {
-    Backoff bo;
-    co_await SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/false);
+    HLOCK_AWAIT SpinUntil(b, ctx, word, max_backoff, bo, /*until_free=*/true);
   }
 
  private:
   static TaskT<void> SpinUntil(B& b, Ctx& ctx, Word& word, std::uint64_t max_backoff,
                                Backoff& bo, bool until_free) {
     while (true) {
-      const std::uint64_t state = co_await b.Load(ctx, word, std::memory_order_acquire);
-      co_await b.Exec(ctx, 0, 1);
+      const std::uint64_t state = HLOCK_AWAIT b.Load(ctx, word, std::memory_order_acquire);
+      HLOCK_AWAIT b.Exec(ctx, 0, 1);
       if (until_free ? state == kFree : state != kExclusive) {
-        co_return;
+        HLOCK_RETURN;
       }
       // Jitter desynchronizes waiters that were released in a convoy; the
       // doubling cap bounds the worst-case reaction time to a free word.
@@ -203,12 +211,9 @@ struct ReserveCore {
       // overshoot on its last step.
       const std::uint64_t delay = std::min(bo.delay, max_backoff);
       const std::uint64_t jittered = delay / 2 + b.RandomBelow(ctx, delay / 2 + 1);
-      co_await b.BackoffUnits(ctx, jittered, /*at_cap=*/delay >= max_backoff);
+      HLOCK_AWAIT b.BackoffUnits(ctx, jittered, /*at_cap=*/delay >= max_backoff);
       bo.delay = std::min(delay * 2, max_backoff);
     }
   }
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_RESERVE_H_
+#endif  // HLOCK_PASS

@@ -29,7 +29,19 @@
 namespace hlock::algo {
 
 template <class B>
-class SpinCore {
+class SpinCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/spin.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_SPIN_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class SpinCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -53,8 +65,8 @@ class SpinCore {
     // First attempt: test_and_set; then the uncontended exit charges the
     // delay-register init, the test branch and the return (Figure 4: Spin
     // row, acquire half).
-    std::uint64_t old = co_await b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
-    co_await b_->Exec(ctx, 1, 2);
+    std::uint64_t old = HLOCK_AWAIT b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 2);
     std::uint64_t delay = base_backoff_;
     if (old == kLocked) {
       probe_.Contend(wait, ProbeCaller(b_, ctx));
@@ -65,10 +77,10 @@ class SpinCore {
       // fresh contenders retry rapidly, which is precisely what floods the
       // lock's memory module and station bus under bursty demand.
       retries_.fetch_add(1, std::memory_order_relaxed);
-      co_await b_->BackoffUnits(ctx, delay, /*at_cap=*/delay >= max_backoff_);
+      HLOCK_AWAIT b_->BackoffUnits(ctx, delay, /*at_cap=*/delay >= max_backoff_);
       delay = std::min(delay * 2, max_backoff_);
-      old = co_await b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 1, 1);
+      old = HLOCK_AWAIT b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     }
     acquisitions_.fetch_add(1, std::memory_order_relaxed);
     probe_.Grant(wait, ProbeCaller(b_, ctx));
@@ -79,21 +91,21 @@ class SpinCore {
     probe_.Release(ProbeCaller(b_, ctx));
     // HECTOR has no plain way to order an uncached store after the critical
     // section's accesses, so the release is also a swap (counted atomic).
-    co_await b_->FetchStore(ctx, word_, kUnlocked, std::memory_order_release);
-    co_await b_->Exec(ctx, 0, 1);
+    HLOCK_AWAIT b_->FetchStore(ctx, word_, kUnlocked, std::memory_order_release);
+    HLOCK_AWAIT b_->Exec(ctx, 0, 1);
     b_->ReleaseInstant(ctx, name_);
   }
 
   TaskT<bool> TryAcquire(Ctx& ctx) {
     const std::uint64_t old =
-        co_await b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
-    co_await b_->Exec(ctx, 1, 1);
+        HLOCK_AWAIT b_->FetchStore(ctx, word_, kLocked, std::memory_order_acquire);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
     const bool taken = old == kUnlocked;
     if (taken) {
       acquisitions_.fetch_add(1, std::memory_order_relaxed);
       probe_.GrantAtOnce(ProbeCaller(b_, ctx));
     }
-    co_return taken;
+    HLOCK_RETURN taken;
   }
 
   std::uint64_t max_backoff() const { return max_backoff_; }
@@ -116,7 +128,4 @@ class SpinCore {
   std::atomic<std::uint64_t> retries_{0};
   hprof::SiteProbe probe_;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_SPIN_H_
+#endif  // HLOCK_PASS

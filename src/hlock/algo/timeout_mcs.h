@@ -34,7 +34,19 @@
 namespace hlock::algo {
 
 template <class B>
-class TimeoutMcsCore {
+class TimeoutMcsCore;
+
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/timeout_mcs.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_TIMEOUT_MCS_H_
+
+#ifdef HLOCK_PASS
+template <class B>
+  requires HLOCK_PASS<B>
+class TimeoutMcsCore<B> {
  public:
   using Ctx = typename B::Ctx;
   template <typename T>
@@ -80,44 +92,43 @@ class TimeoutMcsCore {
   // Acquires or times out against `deadline`.  An infinite deadline makes
   // this the plain (untimed) acquire.
   TaskT<Grant> Acquire(Ctx& ctx, typename B::Deadline& deadline) {
-    Node* node = co_await AllocNode(ctx);
+    Node* node = HLOCK_AWAIT AllocNode(ctx);
     const std::uint64_t pred_bits =
-        co_await b_->FetchStore(ctx, tail_, Bits(node), std::memory_order_acq_rel);
-    co_await b_->Exec(ctx, 1, 2);
+        HLOCK_AWAIT b_->FetchStore(ctx, tail_, Bits(node), std::memory_order_acq_rel);
+    HLOCK_AWAIT b_->Exec(ctx, 1, 2);
     if (pred_bits == kNil) {
-      co_return Grant{Bits(node), kGranted, /*contended=*/false};
+      HLOCK_RETURN Grant{Bits(node), kGranted, /*contended=*/false};
     }
-    co_await b_->Store(ctx, FromBits(pred_bits)->next, Bits(node), std::memory_order_release);
+    HLOCK_AWAIT b_->Store(ctx, FromBits(pred_bits)->next, Bits(node), std::memory_order_release);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
-      const std::uint64_t state =
-          co_await b_->Load(ctx, node->state, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+      const std::uint64_t state = HLOCK_AWAIT b_->Load(ctx, node->state, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (state != kWaiting) {
-        co_return Grant{Bits(node), state, /*contended=*/true};
+        HLOCK_RETURN Grant{Bits(node), state, /*contended=*/true};
       }
       if (b_->Expired(ctx, deadline)) {
         if (broken_abandon_) {
           // BUG (deliberate, for hcheck): leave without abandoning.  The node
           // stays kWaiting forever; a releaser will "grant" a departed
           // thread and the lock is lost.
-          co_return Grant{};
+          HLOCK_RETURN Grant{};
         }
         // Abandon.  If the predecessor granted us the lock in the window, the
         // CAS fails and we own the lock after all.
         const bool abandoned =
-            co_await b_->CompareSwap(ctx, node->state, kWaiting, kAbandoned,
-                                     std::memory_order_acq_rel, std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+            HLOCK_AWAIT b_->CompareSwap(ctx, node->state, kWaiting, kAbandoned,
+                                        std::memory_order_acq_rel, std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (abandoned) {
           // The node stays in the queue; a release will reclaim it.
-          co_return Grant{};
+          HLOCK_RETURN Grant{};
         }
         const std::uint64_t granted =
-            co_await b_->Load(ctx, node->state, std::memory_order_acquire);
-        co_return Grant{Bits(node), granted, /*contended=*/true};
+            HLOCK_AWAIT b_->Load(ctx, node->state, std::memory_order_acquire);
+        HLOCK_RETURN Grant{Bits(node), granted, /*contended=*/true};
       }
-      co_await b_->SpinPause(ctx, sw);
+      HLOCK_AWAIT b_->SpinPause(ctx, sw);
     }
   }
 
@@ -131,19 +142,19 @@ class TimeoutMcsCore {
     Node* node = FromBits(node_bits);
     while (true) {
       const std::uint64_t succ_bits =
-          co_await b_->Load(ctx, node->next, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->Load(ctx, node->next, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (succ_bits == kNil) {
-        co_return Bits(node);
+        HLOCK_RETURN Bits(node);
       }
       Node* succ = FromBits(succ_bits);
       const bool granted =
-          co_await b_->CompareSwap(ctx, succ->state, kWaiting, token,
-                                   std::memory_order_acq_rel, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->CompareSwap(ctx, succ->state, kWaiting, token,
+                                      std::memory_order_acq_rel, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (granted) {
         FreeNode(node);
-        co_return kNil;
+        HLOCK_RETURN kNil;
       }
       // Abandoned: reclaim it, adopt its queue position, keep walking.
       FreeNode(node);
@@ -158,33 +169,33 @@ class TimeoutMcsCore {
     Node* node = FromBits(node_bits);
     typename B::SpinWait sw = b_->MakeSpinWait();
     while (true) {
-      std::uint64_t succ_bits = co_await b_->Load(ctx, node->next, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+      std::uint64_t succ_bits = HLOCK_AWAIT b_->Load(ctx, node->next, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       if (succ_bits == kNil) {
-        const bool freed = co_await b_->CompareSwap(ctx, tail_, Bits(node), kNil,
-                                                    std::memory_order_acq_rel,
-                                                    std::memory_order_acquire);
-        co_await b_->Exec(ctx, 0, 1);
+        const bool freed = HLOCK_AWAIT b_->CompareSwap(ctx, tail_, Bits(node), kNil,
+                                                       std::memory_order_acq_rel,
+                                                       std::memory_order_acquire);
+        HLOCK_AWAIT b_->Exec(ctx, 0, 1);
         if (freed) {
           FreeNode(node);
-          co_return;
+          HLOCK_RETURN;
         }
         while (succ_bits == kNil) {
-          succ_bits = co_await b_->Load(ctx, node->next, std::memory_order_acquire);
-          co_await b_->Exec(ctx, 0, 1);
+          succ_bits = HLOCK_AWAIT b_->Load(ctx, node->next, std::memory_order_acquire);
+          HLOCK_AWAIT b_->Exec(ctx, 0, 1);
           if (succ_bits == kNil) {
-            co_await b_->SpinPause(ctx, sw);
+            HLOCK_AWAIT b_->SpinPause(ctx, sw);
           }
         }
       }
       Node* succ = FromBits(succ_bits);
       const bool granted =
-          co_await b_->CompareSwap(ctx, succ->state, kWaiting, token,
-                                   std::memory_order_acq_rel, std::memory_order_acquire);
-      co_await b_->Exec(ctx, 0, 1);
+          HLOCK_AWAIT b_->CompareSwap(ctx, succ->state, kWaiting, token,
+                                      std::memory_order_acq_rel, std::memory_order_acquire);
+      HLOCK_AWAIT b_->Exec(ctx, 0, 1);
       FreeNode(node);
       if (granted) {
-        co_return;
+        HLOCK_RETURN;
       }
       reclaimed_.fetch_add(1, std::memory_order_relaxed);
       node = succ;  // abandoned: we own it now; continue with its successor
@@ -247,9 +258,9 @@ class TimeoutMcsCore {
     });
     if (node != nullptr) {
       // Re-initialization is part of the acquire path (costed).
-      co_await b_->Store(ctx, node->next, kNil, std::memory_order_relaxed);
-      co_await b_->Store(ctx, node->state, kWaiting, std::memory_order_relaxed);
-      co_return node;
+      HLOCK_AWAIT b_->Store(ctx, node->next, kNil, std::memory_order_relaxed);
+      HLOCK_AWAIT b_->Store(ctx, node->state, kWaiting, std::memory_order_relaxed);
+      HLOCK_RETURN node;
     }
     node = new Node;
     // Nodes are homed on the allocating caller's module; they migrate between
@@ -262,7 +273,7 @@ class TimeoutMcsCore {
       all_nodes_ = node;
       ++total_nodes_;
     });
-    co_return node;
+    HLOCK_RETURN node;
   }
 
   void FreeNode(Node* node) {
@@ -284,7 +295,4 @@ class TimeoutMcsCore {
   Node* all_nodes_ = nullptr;
   std::uint64_t total_nodes_ = 0;
 };
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_TIMEOUT_MCS_H_
+#endif  // HLOCK_PASS

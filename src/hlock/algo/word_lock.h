@@ -33,44 +33,51 @@ class PollBackoff {
 
   template <class B>
   auto Step(B* b, typename B::Ctx& ctx) {
-    auto pause = b->BackoffUnits(ctx, delay_, delay_ >= kCap);
+    const std::uint64_t delay = delay_;
     delay_ = delay_ < kCap ? delay_ * 2 : kCap;
-    return pause;
+    return b->BackoffUnits(ctx, delay, delay >= kCap);
   }
 
  private:
   std::uint64_t delay_ = kBase;
 };
 
+#define HLOCK_TWO_PASS_SOURCE "src/hlock/algo/word_lock.h"
+#include "src/hlock/algo/two_pass.h"
+
+}  // namespace hlock::algo
+
+#endif  // HLOCK_ALGO_WORD_LOCK_H_
+
+#ifdef HLOCK_PASS
 // Takes the word lock.  A profiled caller passes its probe and this
 // acquire's wait episode: the first lost CAS enqueues the caller on the
 // probe's site; the grant stays with the caller.
 template <class B>
+  requires HLOCK_PASS<B>
 typename B::template TaskT<void> LockWord(B* b, typename B::Ctx& ctx, typename B::Word& word,
                                           const hprof::SiteProbe* probe = nullptr,
                                           hprof::SiteProbe::Wait* wait = nullptr) {
   PollBackoff poll;
   while (true) {
-    const bool won = co_await b->CompareSwap(ctx, word, 0, 1, std::memory_order_acquire,
-                                             std::memory_order_relaxed);
-    co_await b->Exec(ctx, 1, 1);
+    const bool won = HLOCK_AWAIT b->CompareSwap(ctx, word, 0, 1, std::memory_order_acquire,
+                                                std::memory_order_relaxed);
+    HLOCK_AWAIT b->Exec(ctx, 1, 1);
     if (won) {
-      co_return;
+      HLOCK_RETURN;
     }
     if (probe != nullptr) {
       probe->Contend(*wait, ProbeCaller(b, ctx));
     }
-    co_await poll.Step(b, ctx);
+    HLOCK_AWAIT poll.Step(b, ctx);
   }
 }
 
 template <class B>
+  requires HLOCK_PASS<B>
 typename B::template TaskT<void> UnlockWord(B* b, typename B::Ctx& ctx, typename B::Word& word,
                                             std::memory_order mo = std::memory_order_release) {
-  co_await b->Store(ctx, word, 0, mo);
-  co_await b->Exec(ctx, 0, 1);
+  HLOCK_AWAIT b->Store(ctx, word, 0, mo);
+  HLOCK_AWAIT b->Exec(ctx, 0, 1);
 }
-
-}  // namespace hlock::algo
-
-#endif  // HLOCK_ALGO_WORD_LOCK_H_
+#endif  // HLOCK_PASS

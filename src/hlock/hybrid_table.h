@@ -134,7 +134,7 @@ class HybridTable {
         typename Backend::Ctx ctx{Platform::ThreadId()};
         probe_.Release(algo::ProbeCaller(&table_->backend_, ctx));
         // Exclusive clear needs no lock and no read-modify-write.
-        Reserve::ClearExclusive(table_->backend_, ctx, entry_->reserve).Get();
+        Reserve::ClearExclusive(table_->backend_, ctx, entry_->reserve);
         entry_ = nullptr;
         table_ = nullptr;
       }
@@ -180,9 +180,9 @@ class HybridTable {
           // decrement *without* the coarse lock that used to make it safe --
           // two concurrent exits lose an update.  The hcheck regression test
           // must tell this variant from the CAS one above.
-          Reserve::RemoveReader(table_->backend_, ctx, entry_->reserve).Get();
+          Reserve::RemoveReader(table_->backend_, ctx, entry_->reserve);
         } else {
-          Reserve::RemoveReaderAtomic(table_->backend_, ctx, entry_->reserve).Get();
+          Reserve::RemoveReaderAtomic(table_->backend_, ctx, entry_->reserve);
         }
         entry_ = nullptr;
         table_ = nullptr;
@@ -213,7 +213,7 @@ class HybridTable {
         if (entry == nullptr) {
           entry = InsertGuarded(ctx, key);
         }
-        if (Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
+        if (Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve)) {
           return GrantExclusive(ctx, entry, &wait);
         }
         wait_target = entry;
@@ -222,7 +222,7 @@ class HybridTable {
       // the search (the entry may have been erased and recycled meanwhile;
       // type-stable memory keeps the spin safe).
       waiting.Contend(wait, algo::ProbeCaller(&backend_, ctx));
-      Reserve::SpinUntilFree(backend_, ctx, wait_target->reserve, kMaxBackoff, bo).Get();
+      Reserve::SpinUntilFree(backend_, ctx, wait_target->reserve, kMaxBackoff, bo);
     }
   }
 
@@ -235,7 +235,7 @@ class HybridTable {
     if (entry == nullptr) {
       entry = InsertGuarded(ctx, key);
     }
-    if (!Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve).Get()) {
+    if (!Reserve::TrySetExclusiveAtomic(backend_, ctx, entry->reserve)) {
       return ExclusiveGuard();
     }
     return GrantExclusive(ctx, entry, /*wait=*/nullptr);
@@ -248,15 +248,14 @@ class HybridTable {
     while (true) {
       Entry* wait_target = nullptr;
       if (read_path_ == ReadPath::kDistributed) {
-        chain_drw_.AcquireShared(ctx).Get();
+        chain_drw_.AcquireShared(ctx);
         Entry* entry = FindLocked(key);
-        if (entry != nullptr &&
-            Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve).Get()) {
-          chain_drw_.ReleaseShared(ctx).Get();
+        if (entry != nullptr && Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve)) {
+          chain_drw_.ReleaseShared(ctx);
           return SharedGuard(this, entry);
         }
         wait_target = entry;
-        chain_drw_.ReleaseShared(ctx).Get();
+        chain_drw_.ReleaseShared(ctx);
         if (wait_target == nullptr) {
           // Absent: create it under the write path, then race for it again.
           std::lock_guard<CoarseLock> guard(lock_);
@@ -271,12 +270,12 @@ class HybridTable {
         if (entry == nullptr) {
           entry = InsertGuarded(ctx, key);
         }
-        if (Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve).Get()) {
+        if (Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve)) {
           return SharedGuard(this, entry);
         }
         wait_target = entry;
       }
-      Reserve::SpinWhileExclusive(backend_, ctx, wait_target->reserve, kMaxBackoff, bo).Get();
+      Reserve::SpinWhileExclusive(backend_, ctx, wait_target->reserve, kMaxBackoff, bo);
     }
   }
 
@@ -286,16 +285,15 @@ class HybridTable {
   SharedGuard TryAcquireShared(const K& key) {
     typename Backend::Ctx ctx{Platform::ThreadId()};
     if (read_path_ == ReadPath::kDistributed) {
-      if (!chain_drw_.TryAcquireShared(ctx).Get()) {
+      if (!chain_drw_.TryAcquireShared(ctx)) {
         return SharedGuard();
       }
       Entry* entry = FindLocked(key);
       SharedGuard out;
-      if (entry != nullptr &&
-          Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve).Get()) {
+      if (entry != nullptr && Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve)) {
         out = SharedGuard(this, entry);
       }
-      chain_drw_.ReleaseShared(ctx).Get();
+      chain_drw_.ReleaseShared(ctx);
       return out;
     }
     std::lock_guard<CoarseLock> guard(lock_);
@@ -303,7 +301,7 @@ class HybridTable {
     if (entry == nullptr) {
       return SharedGuard();
     }
-    if (!Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve).Get()) {
+    if (!Reserve::TryAddReaderAtomic(backend_, ctx, entry->reserve)) {
       return SharedGuard();
     }
     return SharedGuard(this, entry);
@@ -318,13 +316,13 @@ class HybridTable {
   std::optional<V> Peek(const K& key) {
     typename Backend::Ctx ctx{Platform::ThreadId()};
     if (read_path_ == ReadPath::kDistributed) {
-      chain_drw_.AcquireShared(ctx).Get();
+      chain_drw_.AcquireShared(ctx);
       Entry* entry = FindLocked(key);
       std::optional<V> out;
       if (entry != nullptr) {
         out = entry->value;
       }
-      chain_drw_.ReleaseShared(ctx).Get();
+      chain_drw_.ReleaseShared(ctx);
       return out;
     }
     std::lock_guard<CoarseLock> guard(lock_);
@@ -338,9 +336,9 @@ class HybridTable {
   bool Contains(const K& key) {
     typename Backend::Ctx ctx{Platform::ThreadId()};
     if (read_path_ == ReadPath::kDistributed) {
-      chain_drw_.AcquireShared(ctx).Get();
+      chain_drw_.AcquireShared(ctx);
       const bool found = FindLocked(key) != nullptr;
-      chain_drw_.ReleaseShared(ctx).Get();
+      chain_drw_.ReleaseShared(ctx);
       return found;
     }
     std::lock_guard<CoarseLock> guard(lock_);
@@ -361,12 +359,11 @@ class HybridTable {
         // walking could otherwise add a reader hold between our check and
         // the unlink, leaving it holding a recycled entry.
         if (read_path_ == ReadPath::kDistributed) {
-          chain_drw_.WriterArrive(ctx).Get();
+          chain_drw_.WriterArrive(ctx);
         }
         // Acquire: the recycled entry will be rewritten, which must not race
         // with the last holder's writes.
-        const bool reserved =
-            Reserve::Read(backend_, ctx, entry->reserve).Get() != Reserve::kFree;
+        const bool reserved = Reserve::Read(backend_, ctx, entry->reserve) != Reserve::kFree;
         if (!reserved) {
           *link = entry->next;
           entry->next = free_list_;
@@ -374,7 +371,7 @@ class HybridTable {
           --size_;
         }
         if (read_path_ == ReadPath::kDistributed) {
-          chain_drw_.WriterDepart(ctx).Get();
+          chain_drw_.WriterDepart(ctx);
         }
         return !reserved;
       }
@@ -458,9 +455,9 @@ class HybridTable {
     if (read_path_ != ReadPath::kDistributed) {
       return InsertLocked(key);
     }
-    chain_drw_.WriterArrive(ctx).Get();
+    chain_drw_.WriterArrive(ctx);
     Entry* entry = InsertLocked(key);
-    chain_drw_.WriterDepart(ctx).Get();
+    chain_drw_.WriterDepart(ctx);
     return entry;
   }
 

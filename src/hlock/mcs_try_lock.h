@@ -171,7 +171,7 @@ class BasicMcsTryV2Lock {
     const std::uint64_t node = slot;
     Platform::Check(node != 0, "McsTryV2Lock::unlock without a matching lock on this thread");
     slot = 0;
-    core_.Release(ctx, node).Get();
+    core_.Release(ctx, node);
   }
 
   std::uint64_t abandoned_nodes_reclaimed() const { return core_.abandoned_nodes_reclaimed(); }
@@ -188,8 +188,7 @@ class BasicMcsTryV2Lock {
   bool Acquire(std::uint64_t budget) {
     Ctx ctx{Platform::ThreadId()};
     typename Backend::Deadline deadline = backend_.MakeDeadline(ctx, budget);
-    const typename algo::TimeoutMcsCore<Backend>::Grant grant =
-        core_.Acquire(ctx, deadline).Get();
+    const typename algo::TimeoutMcsCore<Backend>::Grant grant = core_.Acquire(ctx, deadline);
     if (grant.node == 0) {
       return false;  // abandoned: a later release reclaims the node
     }

@@ -1,13 +1,14 @@
 // The one native lock adapter: an algorithm core from src/hlock/algo/ bound to
 // the native memory backend.
 //
-// Every lock algorithm is written once, as a coroutine core over the
-// memory-backend concept (algo/backend.h).  NativeLock<Core, Platform> owns a
-// NativeBackend<Platform> and one Core over it, and runs the core eagerly to
-// completion inside each call: lock() is Acquire(ctx).Get(), unlock() is
-// Release(ctx).Get().  Bound to StdPlatform that is raw std::atomic; bound to
-// hcheck::Platform the same instantiation runs on the model checker's memory,
-// one schedule point per backend operation.
+// Every lock algorithm is written once, as a core over the memory-backend
+// concept (algo/backend.h).  NativeLock<Core, Platform> owns a
+// NativeBackend<Platform> and one Core over it.  Over that backend the core
+// is its plain pass (algo/two_pass.h), so lock() is the call Acquire(ctx)
+// and unlock() the call Release(ctx), with no coroutine in between.  Bound to
+// StdPlatform that is raw std::atomic; bound to hcheck::Platform the same
+// instantiation runs on the model checker's memory, one schedule point per
+// backend operation.
 //
 // Members that only some cores support exist only where the core provides the
 // operation they forward to (a requires-clause on the core, never on which
@@ -48,19 +49,19 @@ class NativeLock {
 
   void lock() {
     Ctx ctx = Self();
-    core_.Acquire(ctx).Get();
+    core_.Acquire(ctx);
   }
 
   void unlock() {
     Ctx ctx = Self();
-    core_.Release(ctx).Get();
+    core_.Release(ctx);
   }
 
   bool try_lock()
     requires requires(CoreType& c, Ctx& x) { c.TryAcquire(x); }
   {
     Ctx ctx = Self();
-    return core_.TryAcquire(ctx).Get();
+    return core_.TryAcquire(ctx);
   }
 
   // Timed acquire: gives up after `budget` spin iterations (the native
@@ -71,7 +72,7 @@ class NativeLock {
   {
     Ctx ctx = Self();
     typename Backend::Deadline deadline = backend_.MakeDeadline(ctx, budget);
-    return core_.Acquire(ctx, deadline).Get();
+    return core_.Acquire(ctx, deadline);
   }
 
   // --- shared side (reader-writer cores) -------------------------------------
@@ -80,21 +81,21 @@ class NativeLock {
     requires requires(CoreType& c, Ctx& x) { c.AcquireShared(x); }
   {
     Ctx ctx = Self();
-    core_.AcquireShared(ctx).Get();
+    core_.AcquireShared(ctx);
   }
 
   void unlock_shared()
     requires requires(CoreType& c, Ctx& x) { c.ReleaseShared(x); }
   {
     Ctx ctx = Self();
-    core_.ReleaseShared(ctx).Get();
+    core_.ReleaseShared(ctx);
   }
 
   bool try_lock_shared()
     requires requires(CoreType& c, Ctx& x) { c.TryAcquireShared(x); }
   {
     Ctx ctx = Self();
-    return core_.TryAcquireShared(ctx).Get();
+    return core_.TryAcquireShared(ctx);
   }
 
   // Upgrades a shared hold to exclusive.  On false the shared hold is
@@ -105,7 +106,7 @@ class NativeLock {
     requires requires(CoreType& c, Ctx& x) { c.TryUpgrade(x); }
   {
     Ctx ctx = Self();
-    return core_.TryUpgrade(ctx).Get();
+    return core_.TryUpgrade(ctx);
   }
 
   // Downgrades an exclusive hold to shared with no writer-sneak window.
@@ -113,7 +114,7 @@ class NativeLock {
     requires requires(CoreType& c, Ctx& x) { c.Downgrade(x); }
   {
     Ctx ctx = Self();
-    core_.Downgrade(ctx).Get();
+    core_.Downgrade(ctx);
   }
 
   // --- statistics and profiling ------------------------------------------------

@@ -153,13 +153,13 @@ TEST(SharedPool, BaselineRefContract) {
   typename B::Ctx ctx{0};
 
   // Low refs first, same as the slab core's carve order.
-  EXPECT_EQ(pool.Alloc(ctx).Get(), 1u);
-  EXPECT_EQ(pool.Alloc(ctx).Get(), 2u);
-  EXPECT_EQ(pool.Alloc(ctx).Get(), 3u);
-  EXPECT_EQ(pool.Alloc(ctx).Get(), halloc::SharedPoolCore<B>::kNil);
+  EXPECT_EQ(pool.Alloc(ctx), 1u);
+  EXPECT_EQ(pool.Alloc(ctx), 2u);
+  EXPECT_EQ(pool.Alloc(ctx), 3u);
+  EXPECT_EQ(pool.Alloc(ctx), halloc::SharedPoolCore<B>::kNil);
   EXPECT_EQ(pool.fails(), 1u);
-  pool.Free(ctx, 2).Get();
-  EXPECT_EQ(pool.Alloc(ctx).Get(), 2u);  // LIFO
+  pool.Free(ctx, 2);
+  EXPECT_EQ(pool.Alloc(ctx), 2u);  // LIFO
   EXPECT_EQ(pool.allocs(), 4u);
   EXPECT_EQ(pool.frees(), 1u);
 }

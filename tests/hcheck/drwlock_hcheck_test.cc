@@ -46,25 +46,25 @@ TEST(DrwLockHcheck, ReadersOnDifferentClustersCoexist) {
     auto release_peer = std::make_shared<hcheck::Atomic<int>>(0);
     hcheck::Thread t = hcheck::Spawn([core, peer_in, release_peer] {
       auto ctx = Self();  // thread id 1: cluster 1
-      core->AcquireShared(ctx).Get();
+      core->AcquireShared(ctx);
       peer_in->store(1, std::memory_order_release);
       while (release_peer->load(std::memory_order_acquire) == 0) {
         hcheck::Yield();
       }
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     });
     auto ctx = Self();  // thread id 0: cluster 0
-    core->AcquireShared(ctx).Get();
+    core->AcquireShared(ctx);
     // Both holds overlap here: we wait for the peer while still inside ours.
     while (peer_in->load(std::memory_order_acquire) == 0) {
       hcheck::Yield();
     }
     release_peer->store(1, std::memory_order_release);
-    core->ReleaseShared(ctx).Get();
+    core->ReleaseShared(ctx);
     t.Join();
     // Quiescence: all counters drained, a writer gets in cleanly.
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -84,32 +84,32 @@ TEST(DrwLockHcheck, WriterExcludesReaders) {
     auto writer_in = std::make_shared<hcheck::Atomic<int>>(0);
     auto reader = [core, readers_in, writer_in] {
       auto ctx = Self();
-      core->AcquireShared(ctx).Get();
+      core->AcquireShared(ctx);
       readers_in->fetch_add(1, std::memory_order_relaxed);
       HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
       // While we hold shared, an exclusive try must fail and back out.
-      HCHECK_ASSERT(!core->TryAcquire(ctx).Get());
+      HCHECK_ASSERT(!core->TryAcquire(ctx));
       hcheck::Yield();
       HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
       readers_in->fetch_sub(1, std::memory_order_relaxed);
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     };
     hcheck::Thread a = hcheck::Spawn(reader);  // id 1: cluster 1
     hcheck::Thread b = hcheck::Spawn(reader);  // id 2: cluster 2
     auto ctx = Self();  // id 0: cluster 0
-    core->Acquire(ctx).Get();
+    core->Acquire(ctx);
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     writer_in->store(1, std::memory_order_relaxed);
     // While the writer holds, the no-spin reader entry must fail.
-    HCHECK_ASSERT(!core->TryAcquireShared(ctx).Get());
+    HCHECK_ASSERT(!core->TryAcquireShared(ctx));
     hcheck::Yield();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     writer_in->store(0, std::memory_order_relaxed);
-    core->Release(ctx).Get();
+    core->Release(ctx);
     a.Join();
     b.Join();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -127,18 +127,18 @@ TEST(DrwLockHcheck, WriterExcludesReadersUnderReaderPreference) {
     auto readers_in = std::make_shared<hcheck::Atomic<int>>(0);
     hcheck::Thread t = hcheck::Spawn([core, readers_in] {
       auto ctx = Self();
-      core->AcquireShared(ctx).Get();
+      core->AcquireShared(ctx);
       readers_in->fetch_add(1, std::memory_order_relaxed);
       hcheck::Yield();
       readers_in->fetch_sub(1, std::memory_order_relaxed);
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     });
     auto ctx = Self();
-    core->Acquire(ctx).Get();
+    core->Acquire(ctx);
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
     hcheck::Yield();
     HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-    core->Release(ctx).Get();
+    core->Release(ctx);
     t.Join();
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
@@ -155,18 +155,18 @@ TEST(DrwLockHcheck, WritersExcludeEachOther) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto writer = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(writer);
     writer();
     t.Join();
     HCHECK_ASSERT(mx->entries() == 2);
     auto ctx = Self();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -184,29 +184,29 @@ TEST(DrwLockHcheck, UpgradeDowngradeHandsOverWithoutWindow) {
     auto value = std::make_shared<hcheck::Atomic<int>>(0);
     hcheck::Thread t = hcheck::Spawn([core, value] {
       auto ctx = Self();
-      core->AcquireShared(ctx).Get();
+      core->AcquireShared(ctx);
       const int seen = value->load(std::memory_order_relaxed);
       HCHECK_ASSERT(seen == 0 || seen == 2);
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     });
     auto ctx = Self();
-    core->AcquireShared(ctx).Get();
-    if (core->TryUpgrade(ctx).Get()) {
+    core->AcquireShared(ctx);
+    if (core->TryUpgrade(ctx)) {
       // Exclusive now: the two-step write below is invisible half-done.
       value->store(1, std::memory_order_relaxed);
       hcheck::Yield();
       value->store(2, std::memory_order_relaxed);
-      core->Downgrade(ctx).Get();
+      core->Downgrade(ctx);
       HCHECK_ASSERT(value->load(std::memory_order_relaxed) == 2);
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     } else {
       // Lost the writer-mutex race (can't happen here -- no other writer --
       // but the contract says the shared hold survives a failed try).
-      core->ReleaseShared(ctx).Get();
+      core->ReleaseShared(ctx);
     }
     t.Join();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -230,19 +230,19 @@ TEST(DrwLockHcheck, BrokenSweepViolatesExclusion) {
       while (readers_in->load(std::memory_order_acquire) == 0) {
         hcheck::Yield();
       }
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-      core->Release(ctx).Get();
+      core->Release(ctx);
       writer_done->store(1, std::memory_order_release);
     });
     auto ctx = Self();  // id 0: cluster 0, the skipped counter
-    core->AcquireShared(ctx).Get();
+    core->AcquireShared(ctx);
     readers_in->store(1, std::memory_order_release);
     while (writer_done->load(std::memory_order_acquire) == 0) {
       hcheck::Yield();
     }
     readers_in->store(0, std::memory_order_relaxed);
-    core->ReleaseShared(ctx).Get();
+    core->ReleaseShared(ctx);
     writer.Join();
   });
   EXPECT_TRUE(res.failed) << "hcheck failed to catch the broken drwlock sweep";
@@ -268,14 +268,14 @@ TEST(DrwLockHcheck, BrokenUnderflowCaughtInBackout) {
       }
       // Flag is up: the increment backs out, and the broken double decrement
       // underflows the counter we no longer hold.
-      core->AcquireShared(ctx).Get();
-      core->ReleaseShared(ctx).Get();
+      core->AcquireShared(ctx);
+      core->ReleaseShared(ctx);
     });
     auto ctx = Self();
-    core->Acquire(ctx).Get();
+    core->Acquire(ctx);
     writer_holds->store(1, std::memory_order_release);
     hcheck::Yield();
-    core->Release(ctx).Get();
+    core->Release(ctx);
     reader.Join();
   });
   EXPECT_TRUE(res.failed) << "hcheck failed to catch the drwlock reader-count underflow";

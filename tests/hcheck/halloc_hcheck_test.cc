@@ -70,7 +70,7 @@ hcheck::Result CheckCrossClusterPublish(AllocBroken broken) {
     hcheck::Thread consumer = hcheck::Spawn([core, go] {
       auto ctx = Self();  // thread id 1: cluster 1
       // Own primed magazine: fast path, no depot involvement.
-      const std::uint64_t r1 = core->Alloc(ctx).Get();
+      const std::uint64_t r1 = core->Alloc(ctx);
       HCHECK_ASSERT(r1 == 3);
       while (go->load(std::memory_order_relaxed) == 0) {
         hcheck::Yield();
@@ -79,19 +79,19 @@ hcheck::Result CheckCrossClusterPublish(AllocBroken broken) {
       // hand out ref 1.  With the broken depot release the count, the round,
       // or the slab cursors read stale here, and r2 comes back as kNil
       // (phantom exhaustion), 2, or 4 instead.
-      const std::uint64_t r2 = core->Alloc(ctx).Get();
+      const std::uint64_t r2 = core->Alloc(ctx);
       HCHECK_ASSERT(r2 == 1);
     });
     auto ctx = Self();  // thread id 0: cluster 0
-    const std::uint64_t a = core->Alloc(ctx).Get();  // primed fast path
-    const std::uint64_t b = core->Alloc(ctx).Get();  // depot carve of own range
-    const std::uint64_t c = core->Alloc(ctx).Get();  // depot steal of ref 4
+    const std::uint64_t a = core->Alloc(ctx);  // primed fast path
+    const std::uint64_t b = core->Alloc(ctx);  // depot carve of own range
+    const std::uint64_t c = core->Alloc(ctx);  // depot steal of ref 4
     HCHECK_ASSERT(a == 1);
     HCHECK_ASSERT(b == 2);
     HCHECK_ASSERT(c == 4);
-    core->Free(ctx, a).Get();  // fast: loaded magazine now {1}
-    core->Free(ctx, b).Get();  // loaded/previous exchange
-    core->Free(ctx, c).Get();  // depot trip: pushes the full magazine {1}
+    core->Free(ctx, a);  // fast: loaded magazine now {1}
+    core->Free(ctx, b);  // loaded/previous exchange
+    core->Free(ctx, c);  // depot trip: pushes the full magazine {1}
     go->store(1, std::memory_order_relaxed);
     consumer.Join();
   });
@@ -125,12 +125,12 @@ TEST(HallocHcheck, CountSkewTwinScriptPassesWhenCorrect) {
     auto core = std::make_shared<Core>(backend.get(), cfg);
     auto ctx = Self();
     // Rounds pop top-down, so the primed {1, 2} magazine hands out 2 then 1.
-    HCHECK_ASSERT(core->Alloc(ctx).Get() == 2);
-    HCHECK_ASSERT(core->Alloc(ctx).Get() == 1);
-    core->Free(ctx, 2).Get();
-    HCHECK_ASSERT(core->Alloc(ctx).Get() == 2);
+    HCHECK_ASSERT(core->Alloc(ctx) == 2);
+    HCHECK_ASSERT(core->Alloc(ctx) == 1);
+    core->Free(ctx, 2);
+    HCHECK_ASSERT(core->Alloc(ctx) == 2);
     // Both magazines empty: depot carve of {3, 4}, topmost round first.
-    HCHECK_ASSERT(core->Alloc(ctx).Get() == 4);
+    HCHECK_ASSERT(core->Alloc(ctx) == 4);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -151,13 +151,13 @@ TEST(HallocHcheck, BrokenCountSkewCaught) {
     // after handing out only ref 2) and ref 3; the free then leaves the
     // loaded magazine at count 1, the next pop wraps it to ~2^64, and the pop
     // after that fails the range Check.
-    const std::uint64_t a = core->Alloc(ctx).Get();
+    const std::uint64_t a = core->Alloc(ctx);
     HCHECK_ASSERT(a == 2);
-    const std::uint64_t b = core->Alloc(ctx).Get();
+    const std::uint64_t b = core->Alloc(ctx);
     HCHECK_ASSERT(b == 4);
-    core->Free(ctx, a).Get();
-    core->Alloc(ctx).Get();  // pops 2 again; count wraps below zero
-    core->Alloc(ctx).Get();  // range Check fires
+    core->Free(ctx, a);
+    core->Alloc(ctx);  // pops 2 again; count wraps below zero
+    core->Alloc(ctx);  // range Check fires
   });
   EXPECT_TRUE(res.failed)
       << "hcheck failed to catch the magazine count wrapping under the skewed pop";
@@ -181,10 +181,10 @@ TEST(HallocHcheck, ConcurrentAllocFreeNoDoubleAlloc) {
     auto worker = [core] {
       auto ctx = Self();
       for (int i = 0; i < 2; ++i) {
-        const std::uint64_t ref = core->Alloc(ctx).Get();
+        const std::uint64_t ref = core->Alloc(ctx);
         if (ref != kNil) {
           HCHECK_ASSERT(ref >= 1 && ref <= core->capacity());
-          core->Free(ctx, ref).Get();
+          core->Free(ctx, ref);
         }
       }
     };

@@ -50,10 +50,10 @@ TEST(NumaLocksHcheck, CnaMutualExclusionTwoThreads) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(worker);
     worker();
@@ -61,8 +61,8 @@ TEST(NumaLocksHcheck, CnaMutualExclusionTwoThreads) {
     HCHECK_ASSERT(mx->entries() == 2);
     // Quiescence / no lost wakeup: the lock must be free again.
     auto ctx = Self();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -79,10 +79,10 @@ TEST(NumaLocksHcheck, CnaMutualExclusionAcrossClusters) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread a = hcheck::Spawn(worker);  // thread id 1: cluster 0
     hcheck::Thread b = hcheck::Spawn(worker);  // thread id 2: cluster 1
@@ -91,8 +91,8 @@ TEST(NumaLocksHcheck, CnaMutualExclusionAcrossClusters) {
     b.Join();
     HCHECK_ASSERT(mx->entries() == 3);
     auto ctx = Self();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -115,13 +115,13 @@ TEST(NumaLocksHcheck, CnaBrokenSpliceViolatesMutualExclusion) {
     auto go_local = std::make_shared<hcheck::Atomic<int>>(0);
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     auto ctx = Self();
-    core->Acquire(ctx).Get();  // main (id 0, cluster 0) holds
+    core->Acquire(ctx);  // main (id 0, cluster 0) holds
     // id 1 (cluster 0): the local waiter; gated until the remote one queues.
     hcheck::Thread local = hcheck::Spawn([worker, go_local] {
       while (go_local->load(std::memory_order_acquire) == 0) {
@@ -131,22 +131,22 @@ TEST(NumaLocksHcheck, CnaBrokenSpliceViolatesMutualExclusion) {
     });
     // id 2 (cluster 1): the remote waiter, queues first.
     hcheck::Thread remote = hcheck::Spawn(worker);
-    while (core->DebugLoadNext(ctx, 0).Get() != 3) {
+    while (core->DebugLoadNext(ctx, 0) != 3) {
       hcheck::Yield();  // until id 2 is linked behind main
     }
     go_local->store(1, std::memory_order_release);
-    while (core->DebugLoadNext(ctx, 2).Get() != 2) {
+    while (core->DebugLoadNext(ctx, 2) != 2) {
       hcheck::Yield();  // until id 1 is linked behind id 2
     }
     // Release scans past the remote waiter, parks it in the secondary queue,
     // and grants id 1.  Id 1's release then hits the broken drain path.
-    core->Release(ctx).Get();
+    core->Release(ctx);
     // Race under test: this acquire can swap onto the wrongly freed tail
     // while the parked remote waiter is being granted.
-    core->Acquire(ctx).Get();
+    core->Acquire(ctx);
     mx->Enter();
     mx->Exit();
-    core->Release(ctx).Get();
+    core->Release(ctx);
     local.Join();
     remote.Join();
   });
@@ -164,10 +164,10 @@ TEST(NumaLocksHcheck, HmcsTMutualExclusionTwoThreads) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [backend, core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(worker);  // same cluster: inherit path
     worker();
@@ -186,10 +186,10 @@ TEST(NumaLocksHcheck, HmcsTCrossClusterHandoff) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(worker);  // own cluster: global handoff
     worker();
@@ -214,17 +214,17 @@ TEST(NumaLocksHcheck, HmcsTTimeoutNeverOrphansNode) {
       auto ctx = Self();
       // A zero budget expires at the first contended spin iteration.
       typename B::Deadline deadline = backend->MakeDeadline(ctx, 0);
-      if (core->Acquire(ctx, deadline).Get()) {
+      if (core->Acquire(ctx, deadline)) {
         mx->Enter();
         mx->Exit();
-        core->Release(ctx).Get();
+        core->Release(ctx);
       }
     });
     auto ctx = Self();
-    core->Acquire(ctx).Get();
+    core->Acquire(ctx);
     mx->Enter();
     mx->Exit();
-    core->Release(ctx).Get();
+    core->Release(ctx);
     t.Join();
     // Pool conservation at quiescence, across every level.
     for (std::uint32_t c = 0; c < backend->NumClusters() + 1; ++c) {
@@ -232,8 +232,8 @@ TEST(NumaLocksHcheck, HmcsTTimeoutNeverOrphansNode) {
       HCHECK_ASSERT(level.total_nodes() == level.pooled_nodes());
     }
     // And the lock is still usable.
-    core->Acquire(ctx).Get();
-    core->Release(ctx).Get();
+    core->Acquire(ctx);
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -251,13 +251,13 @@ TEST(NumaLocksHcheck, HmcsTBrokenAbandonLeaksNode) {
     hcheck::Thread t = hcheck::Spawn([backend, core] {
       auto ctx = Self();
       typename B::Deadline deadline = backend->MakeDeadline(ctx, 0);
-      if (core->Acquire(ctx, deadline).Get()) {
-        core->Release(ctx).Get();
+      if (core->Acquire(ctx, deadline)) {
+        core->Release(ctx);
       }
     });
     auto ctx = Self();
-    core->Acquire(ctx).Get();
-    core->Release(ctx).Get();
+    core->Acquire(ctx);
+    core->Release(ctx);
     t.Join();
     for (std::uint32_t c = 0; c < backend->NumClusters() + 1; ++c) {
       auto& level = c == 0 ? core->global_level() : core->local_level(c - 1);
@@ -278,18 +278,18 @@ TEST(NumaLocksHcheck, FissileMutualExclusionTwoThreads) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(worker);
     worker();
     t.Join();
     HCHECK_ASSERT(mx->entries() == 2);
     auto ctx = Self();
-    HCHECK_ASSERT(core->TryAcquire(ctx).Get());
-    core->Release(ctx).Get();
+    HCHECK_ASSERT(core->TryAcquire(ctx));
+    core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
@@ -305,10 +305,10 @@ TEST(NumaLocksHcheck, FissileThreeThreadsSlowPath) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread a = hcheck::Spawn(worker);
     hcheck::Thread b = hcheck::Spawn(worker);
@@ -331,10 +331,10 @@ TEST(NumaLocksHcheck, FissileBrokenBargeViolatesMutualExclusion) {
     auto mx = std::make_shared<hcheck::MutualExclusion>();
     auto worker = [core, mx] {
       auto ctx = Self();
-      core->Acquire(ctx).Get();
+      core->Acquire(ctx);
       mx->Enter();
       mx->Exit();
-      core->Release(ctx).Get();
+      core->Release(ctx);
     };
     hcheck::Thread t = hcheck::Spawn(worker);
     worker();

@@ -1,5 +1,6 @@
 // FrameCache: the per-thread size-class free lists behind every coroutine
-// frame (hsim::Task, algo::SyncTask).  Under AddressSanitizer the cache is a
+// frame (hsim::Task), and a check that native lock cores, which are plain
+// functions, never reach it.  Under AddressSanitizer the cache is a
 // pass-through, and each test checks that instead.
 
 #include "src/hlock/algo/frame_cache.h"
@@ -9,11 +10,18 @@
 
 #include <gtest/gtest.h>
 
-#include "src/hlock/algo/backend.h"
+#include "src/halloc/slab_allocator.h"
+#include "src/hlock/hybrid_table.h"
+#include "src/hlock/mcs_locks.h"
+#include "src/hlock/mcs_try_lock.h"
+#include "src/hlock/numa_locks.h"
+#include "src/hlock/spin_locks.h"
 #include "src/hsim/task.h"
 
-namespace hlock::algo {
+namespace hlock {
 namespace {
+
+using algo::FrameCache;
 
 constexpr std::size_t kExpect = FrameCache::kEnabled ? 1 : 0;
 
@@ -72,18 +80,10 @@ TEST(FrameCache, ThreadExitReleasesTheThreadsFrames) {
   EXPECT_GE(FrameCache::ReleasedAtThreadExit(), released_before + kFrames * kExpect);
 }
 
-// Reports the cache's size while its own frame is live.
-SyncTask<int> SyncAnswer(std::size_t* cached_while_running) {
-  *cached_while_running = FrameCache::CachedOnThisThread();
-  co_return 42;
-}
-
 hsim::Task<int> LazyAnswer() { co_return 7; }
 
-TEST(FrameCache, BothTaskTypesTakeTheirFramesFromIt) {
+TEST(FrameCache, SimTaskTakesItsFrameFromIt) {
   std::size_t before = 0;
-  EXPECT_EQ(SyncAnswer(&before).Get(), 42);
-  EXPECT_EQ(FrameCache::CachedOnThisThread(), before + kExpect);
   {
     hsim::Task<int> lazy = LazyAnswer();  // never started, destroyed unrun
     before = FrameCache::CachedOnThisThread();
@@ -91,5 +91,61 @@ TEST(FrameCache, BothTaskTypesTakeTheirFramesFromIt) {
   EXPECT_EQ(FrameCache::CachedOnThisThread(), before + kExpect);
 }
 
+// A few uncontended lock/unlock pairs.
+template <class Lock>
+void LockPairs(Lock& lock) {
+  for (int i = 0; i < 3; ++i) {
+    lock.lock();
+    lock.unlock();
+  }
+}
+
+// Natively every core is its plain pass: a lock step, a table read and a
+// slab alloc/free allocate no coroutine frame, so the fresh thread's cache
+// stays empty.  A coroutine-backed core would leave its first frame there.
+TEST(FrameCache, NativeCoresAllocateNoFrame) {
+  if (!FrameCache::kEnabled) {
+    GTEST_SKIP() << "frames bypass the cache under AddressSanitizer";
+  }
+  std::size_t cached = ~std::size_t{0};
+  std::thread worker([&] {
+    BackoffSpinLock spin;
+    McsH1Lock h1;
+    McsH2Lock h2;
+    McsTryV2Lock try_v2;
+    CnaLock cna;
+    HmcsTLock hmcs;
+    FissileLock fissile;
+    DrwLock drw;
+    LockPairs(spin);
+    LockPairs(h1);
+    LockPairs(h2);
+    LockPairs(try_v2);
+    LockPairs(cna);
+    LockPairs(hmcs);
+    LockPairs(fissile);
+    LockPairs(drw);
+    drw.lock_shared();
+    drw.unlock_shared();
+
+    HybridTable<int, int> table;
+    table.Acquire(1).value() = 10;
+    EXPECT_EQ(table.Peek(1), 10);
+    EXPECT_TRUE(table.AcquireShared(1));
+
+    halloc::SlabConfig cfg;
+    cfg.objects_per_cluster = 8;
+    cfg.magazine_size = 4;
+    halloc::SlabAllocator<int> pool(/*num_clusters=*/1, cfg);
+    int* obj = pool.Alloc();
+    ASSERT_NE(obj, nullptr);
+    pool.Free(obj);
+
+    cached = FrameCache::CachedOnThisThread();
+  });
+  worker.join();
+  EXPECT_EQ(cached, 0u);
+}
+
 }  // namespace
-}  // namespace hlock::algo
+}  // namespace hlock

@@ -27,7 +27,7 @@ struct FakeBackend {
     std::uint64_t v = 0;
   };
   template <typename T>
-  using TaskT = hlock::algo::SyncTask<T>;
+  using TaskT = T;
 
   // Load observes `busy_value` until `free_after_backoffs` backoffs have been
   // recorded, then observes free.
@@ -36,14 +36,13 @@ struct FakeBackend {
   std::vector<std::uint64_t> units;
   std::vector<bool> at_cap;
 
-  hlock::algo::Ready<std::uint64_t> Load(Ctx&, Word&, std::memory_order) {
-    return {units.size() >= free_after_backoffs ? 0 : busy_value};
+  std::uint64_t Load(Ctx&, Word&, std::memory_order) {
+    return units.size() >= free_after_backoffs ? 0 : busy_value;
   }
-  hlock::algo::Ready<void> Exec(Ctx&, std::uint32_t, std::uint32_t) { return {}; }
-  hlock::algo::Ready<void> BackoffUnits(Ctx&, std::uint64_t n, bool cap) {
+  void Exec(Ctx&, std::uint32_t, std::uint32_t) {}
+  void BackoffUnits(Ctx&, std::uint64_t n, bool cap) {
     units.push_back(n);
     at_cap.push_back(cap);
-    return {};
   }
   // Maximum jitter: delay/2 + RandomBelow(delay/2 + 1) == delay (even delays),
   // so the recorded units *are* the clamped delay sequence.
@@ -61,7 +60,7 @@ TEST(ReserveBackoffTest, DoublesFromBaseAndHoldsAtCap) {
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
   typename Reserve::Backoff bo;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/64, bo).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/64, bo);
   const std::vector<std::uint64_t> want{8, 16, 32, 64, 64, 64};
   EXPECT_EQ(b.units, want);
   const std::vector<bool> want_cap{false, false, false, true, true, true};
@@ -75,7 +74,7 @@ TEST(ReserveBackoffTest, ClampsToNonPowerOfTwoCap) {
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
   typename Reserve::Backoff bo;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1000, bo).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1000, bo);
   // 8, 16, ..., 512, then the doubling would hit 1024: the delay itself must
   // clamp to 1000, not overshoot to the next power of two.
   for (std::size_t i = 0; i < b.units.size(); ++i) {
@@ -92,7 +91,7 @@ TEST(ReserveBackoffTest, CapBelowBaseClampsImmediately) {
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
   typename Reserve::Backoff bo;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/4, bo).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/4, bo);
   const std::vector<std::uint64_t> want{4, 4};
   EXPECT_EQ(b.units, want);
   EXPECT_TRUE(b.at_cap[0]);
@@ -107,13 +106,13 @@ TEST(ReserveBackoffTest, DelayPersistsAcrossSpinCalls) {
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
   typename Reserve::Backoff bo;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024, bo).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024, bo);
   std::vector<std::uint64_t> want{8, 16, 32};
   EXPECT_EQ(b.units, want);
   // The caller re-took the coarse lock, found the word reserved again, and
   // spins a second time with the same Backoff.
   b.free_after_backoffs = b.units.size() + 2;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024, bo).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024, bo);
   want = {8, 16, 32, 64, 128};
   EXPECT_EQ(b.units, want);
 }
@@ -125,9 +124,9 @@ TEST(ReserveBackoffTest, OneShotOverloadStartsFresh) {
   b.free_after_backoffs = 2;
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024);
   b.free_after_backoffs = b.units.size() + 2;
-  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024).Get();
+  Reserve::SpinUntilFree(b, ctx, word, /*max_backoff=*/1024);
   const std::vector<std::uint64_t> want{8, 16, 8, 16};
   EXPECT_EQ(b.units, want);
 }
@@ -142,7 +141,7 @@ TEST(ReserveBackoffTest, SpinWhileExclusiveSharesTheProtocol) {
   FakeBackend::Ctx ctx = 0;
   FakeBackend::Word word;
   typename Reserve::Backoff bo;
-  Reserve::SpinWhileExclusive(b, ctx, word, /*max_backoff=*/32, bo).Get();
+  Reserve::SpinWhileExclusive(b, ctx, word, /*max_backoff=*/32, bo);
   const std::vector<std::uint64_t> want{8, 16, 32, 32};
   EXPECT_EQ(b.units, want);
 
@@ -150,7 +149,7 @@ TEST(ReserveBackoffTest, SpinWhileExclusiveSharesTheProtocol) {
   b.units.clear();
   b.busy_value = 3;
   b.free_after_backoffs = 99;
-  Reserve::SpinWhileExclusive(b, ctx, word, /*max_backoff=*/32, bo).Get();
+  Reserve::SpinWhileExclusive(b, ctx, word, /*max_backoff=*/32, bo);
   EXPECT_TRUE(b.units.empty());
 }
 

@@ -159,7 +159,13 @@ TEST(McsTryV2, TryLockStarvesAgainstSaturatedQueue) {
       while (!stop.load(std::memory_order_relaxed)) {
         lock.lock();
         // Hold briefly; the queue stays occupied because the other hogs
-        // enqueue while we hold.
+        // enqueue while we hold.  The hold must outlast a hog's trip
+        // through the node pool on its way back in: with an empty hold
+        // the pool lock, not the queue, serializes the hogs, the queue is
+        // often empty, and this would measure the pool.
+        const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+        while (std::chrono::steady_clock::now() < until) {
+        }
         lock.unlock();
       }
     });
