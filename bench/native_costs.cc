@@ -6,9 +6,10 @@
 //
 //   pairs        the uncontended lock/unlock pair of every native lock; the
 //                hybrid table's acquire/release against the fine-grained and
-//                global-lock tables (Figure 1's design comparison), its Peek
-//                and its shared readers; the replicated counter against one
-//                shared atomic.
+//                global-lock tables (Figure 1's design comparison), its Peek,
+//                its shared readers and a chain insert+erase (each a coarse
+//                lock hold plus a drw writer sweep); the replicated counter
+//                against one shared atomic.
 //   lock race    the serving layer's coarse lock, which every HybridTable
 //                exclusive reservation takes: the lock family (H1/H2 MCS vs
 //                the NUMA-aware CNA, HMCS-T and Fissile) is raced on exactly
@@ -31,7 +32,8 @@
 // with fewer than 2 usable CPUs they and the clustered section are skipped.
 //
 // Gated in BENCH_BASELINE.json (the "ratios" series): mcs_h2/mcs_classic,
-// mcs_h2/tas, mcs_try_v2/mcs_try_v1, hybrid/fine, the race floor
+// mcs_h2/tas, mcs_try_v2/mcs_try_v1, hybrid/fine, hybrid insert+erase over
+// the hybrid acquire pair, the race floor
 // min(2 / (fissile/h2-mcs), 1) (queue waiters that overshoot their grant put
 // h2-mcs far behind fissile's TAS fast path), the read-path floor
 // min(distributed/coarse / 3, 1) and the counter total.  The race ratio
@@ -311,6 +313,7 @@ int main(int argc, char** argv) {
     };
     auto classic = std::make_shared<Classic>();
     auto hybrid = std::make_shared<hlock::HybridTable<int, int>>();
+    auto chains = std::make_shared<hlock::HybridTable<int, int>>();
     auto global = std::make_shared<hlock::GlobalTable<int, int>>();
     hybrid->Acquire(7).value() = 42;
     global->With(1, [](int& v) { v = 0; });
@@ -356,6 +359,13 @@ int main(int argc, char** argv) {
              Keep(guard.value());
            }
          }},
+        {"hybrid_insert_erase",
+         [chains](std::size_t n) {
+           for (std::size_t i = 0; i < n; ++i) {
+             Keep(chains->Acquire(1).value());  // absent: inserts, then reserves
+             Keep(chains->Erase(1));
+           }
+         }},
         {"counter_add",
          [counter, &counter_adds](std::size_t n) {
            for (std::size_t i = 0; i < n; ++i) {
@@ -394,11 +404,14 @@ int main(int argc, char** argv) {
   ratios["ratio_mcs_h2_over_tas"] = median["mcs_h2"] / median["tas"];
   ratios["ratio_mcs_try_v2_over_mcs_try_v1"] = median["mcs_try_v2"] / median["mcs_try_v1"];
   ratios["ratio_hybrid_over_fine"] = median["hybrid_acquire"] / median["fine_acquire"];
+  ratios["ratio_hybrid_insert_over_acquire"] =
+      median["hybrid_insert_erase"] / median["hybrid_acquire"];
   ratios["frac_counter_total_ok"] = counter_total == counter_adds ? 1.0 : 0.0;
   std::printf("mcs_h2/mcs_classic %.2f, mcs_h2/tas %.2f, mcs_try_v2/mcs_try_v1 %.2f, "
-              "hybrid/fine %.2f, counter total %s\n\n",
+              "hybrid/fine %.2f, hybrid insert+erase/acquire %.2f, counter total %s\n\n",
               ratios["ratio_mcs_h2_over_mcs_classic"], ratios["ratio_mcs_h2_over_tas"],
               ratios["ratio_mcs_try_v2_over_mcs_try_v1"], ratios["ratio_hybrid_over_fine"],
+              ratios["ratio_hybrid_insert_over_acquire"],
               counter_total == counter_adds ? "ok" : "WRONG");
 
   if (threads == 0) {

@@ -194,7 +194,7 @@ class SlabAllocatorCore<B> {
           i < 2ull * num_clusters_ ? static_cast<std::uint32_t>(i / 2)
                                    : static_cast<std::uint32_t>(
                                          (i - 2ull * num_clusters_) % num_clusters_);
-      const std::uint32_t home = ClusterHome(home_cluster);
+      const std::uint32_t home = hlock::algo::ClusterHome(*b_, home_cluster);
       Mag& m = mags_[i];
       m.rounds.reset(new Word[magazine_size_]);
       const bool is_loaded_mag = i < 2ull * num_clusters_ && i % 2 == 0;
@@ -214,7 +214,7 @@ class SlabAllocatorCore<B> {
     }
     b_->InitWord(empty_top_, cfg.depot_home, empty_chain);
     for (std::uint32_t c = 0; c < num_clusters_; ++c) {
-      const std::uint32_t home = ClusterHome(c);
+      const std::uint32_t home = hlock::algo::ClusterHome(*b_, c);
       Cache& cache = caches_[c];
       b_->InitWord(cache.lock, home, 0);
       b_->InitWord(cache.loaded, home, 2ull * c + 1);
@@ -387,16 +387,6 @@ class SlabAllocatorCore<B> {
     Word loaded;  // magazine index + 1; never kNil after construction
     Word prev;
   };
-
-  std::uint32_t ClusterHome(std::uint32_t cluster) const {
-    const std::uint32_t n = b_->NumCtxs();
-    for (std::uint32_t id = 0; id < n; ++id) {
-      if (b_->ClusterOfCtx(id) == cluster) {
-        return b_->HomeOf(id);
-      }
-    }
-    return 0;
-  }
 
   TaskT<void> LockDepot(Ctx& ctx) {
     hprof::SiteProbe::Wait wait = depot_probe_.Begin(hlock::algo::ProbeCaller(b_, ctx));

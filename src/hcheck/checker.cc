@@ -248,9 +248,27 @@ void Interleave() {
   rt->SchedulePoint("interleave");
 }
 
-std::uint32_t CurrentTestThreadId() {
+std::uint32_t RegisterThreadId() {
   auto* rt = detail::Runtime::Current();
-  return rt == nullptr ? 0 : rt->current_thread();
+  if (rt == nullptr) {
+    return 0;
+  }
+  const std::uint32_t id = rt->current_thread();
+  if (rt->FirstIdUse()) {
+    // A CAS-max: ids are dense, so the first guess is that every lower id
+    // has registered already.
+    Atomic<std::uint32_t>& high_water = rt->IdHighWater();
+    std::uint32_t seen = id;
+    while (seen <= id && !rt->aborting() &&
+           !high_water.compare_exchange_strong(seen, id + 1, std::memory_order_seq_cst)) {
+    }
+  }
+  return id;
+}
+
+std::uint32_t ThreadIdHighWater() {
+  auto& rt = detail::RequireRuntime("ThreadIdHighWater called");
+  return rt.IdHighWater().load(std::memory_order_seq_cst);
 }
 
 void FailCheck(const std::string& msg) {

@@ -91,8 +91,16 @@ void Yield();
 // Plain preemption point, for widening windows in test harness code.
 void Interleave();
 
-// Dense id of the calling virtual thread (0 = the Check body).
-std::uint32_t CurrentTestThreadId();
+// Dense id of the calling virtual thread (0 = the Check body), as
+// hcheck::Platform::ThreadId hands it out.  The model of
+// hlock::ThreadIdHighWater: the first call on each virtual thread raises the
+// execution's id high-water to at least id + 1, with seq_cst CASes on a
+// modeled atomic (schedule points), as a native thread publishes the
+// high-water when it takes a fresh id.  Later calls are free.
+std::uint32_t RegisterThreadId();
+
+// The execution's id high-water: a modeled seq_cst load (a schedule point).
+std::uint32_t ThreadIdHighWater();
 
 // Reports a model-checker failure (records the schedule and unwinds the
 // execution).  Aborts the process if called outside a Check body.

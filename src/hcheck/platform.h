@@ -50,7 +50,8 @@ struct Platform {
     std::uint64_t rounds_ = 0;
   };
 
-  static std::uint32_t ThreadId() { return CurrentTestThreadId(); }
+  static std::uint32_t ThreadId() { return RegisterThreadId(); }
+  static std::uint32_t ThreadIdHighWater() { return hcheck::ThreadIdHighWater(); }
   static void Fence(std::memory_order mo) { hcheck::ThreadFence(mo); }
   static void Pause() { hcheck::Yield(); }
   static void Check(bool cond, const char* msg) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/hcheck/atomic.h"
+
 namespace hcheck {
 namespace detail {
 
@@ -426,6 +428,20 @@ detail::MutexState* Runtime::NewMutex() {
   m->clk = Self().clock;  // construction happens-before first lock
   mutexes_.push_back(std::move(m));
   return mutexes_.back().get();
+}
+
+Atomic<std::uint32_t>& Runtime::IdHighWater() {
+  if (id_high_water_ == nullptr) {
+    id_high_water_ = std::make_unique<Atomic<std::uint32_t>>(0);
+  }
+  return *id_high_water_;
+}
+
+bool Runtime::FirstIdUse() {
+  VThread& t = Self();
+  const bool first = !t.id_registered;
+  t.id_registered = true;
+  return first;
 }
 
 detail::CondVarState* Runtime::NewCondVar() {

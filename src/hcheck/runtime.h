@@ -29,6 +29,9 @@
 
 namespace hcheck {
 
+template <class T>
+class Atomic;
+
 namespace detail {
 
 // Thrown through a virtual thread to unwind it when the execution aborts
@@ -53,6 +56,7 @@ struct VThread {
   const void* block_obj = nullptr;
   const char* block_what = nullptr;
   bool yielded = false;
+  bool id_registered = false;  // RegisterThreadId raised the high-water
 
   // Memory-model state.
   VectorClock clock;        // happens-before knowledge
@@ -142,6 +146,12 @@ class Runtime {
   void CvWait(detail::CondVarState& cv, detail::MutexState& m);
   void CvNotify(detail::CondVarState& cv, bool all);
 
+  // --- thread-id high-water (checker.h, RegisterThreadId) -------------------
+  // The execution's modeled high-water word, created on first use.
+  Atomic<std::uint32_t>& IdHighWater();
+  // True on the calling virtual thread's first call only.
+  bool FirstIdUse();
+
   void Trace(const char* op, char obj_kind = ' ', std::uint32_t obj_id = 0,
              bool has_value = false, std::uint64_t value = 0, int mo = 0xff);
 
@@ -164,6 +174,7 @@ class Runtime {
   std::vector<std::unique_ptr<detail::Location>> locations_;
   std::vector<std::unique_ptr<detail::MutexState>> mutexes_;
   std::vector<std::unique_ptr<detail::CondVarState>> condvars_;
+  std::unique_ptr<Atomic<std::uint32_t>> id_high_water_;
   VectorClock sc_clock_;
   int preemptions_left_ = 0;
   std::uint64_t ops_ = 0;

@@ -66,6 +66,14 @@
 //   u32  NumCtxs()             queue-node array sizing
 //   u32  ClusterOfCtx(id)      cluster (HECTOR station) of a caller
 //   u32  NumClusters()
+//   u32  ClustersInUse()       clusters [0, n) that hold every caller that
+//                              has had an id so far, <= NumClusters().
+//                              Natively it grows with
+//                              hlock::ThreadIdHighWater (a seq_cst load);
+//                              in hsim it is NumClusters(), a fixed
+//                              processor set.  Only scans that read it
+//                              after their own seq_cst store may stop
+//                              there (the drw writer sweep)
 //   u32  HomeOf(id)            memory module local to a caller (for InitWord)
 //   u64  Now(ctx)              ticks (simulated time / host ns); free
 //   u64  RandomBelow(ctx, n)   jitter source (deterministic midpoint natively)
@@ -133,6 +141,21 @@ class ProbeCaller {
   B* b_;
   typename B::Ctx& ctx_;
 };
+
+// The home module of a cluster's lowest-numbered context: where the cores
+// place a cluster's own words (drw reader counters, halloc caches and
+// magazines), so the cluster's accesses to them are local in the simulator.
+// Module 0 for a cluster no context maps to.
+template <class B>
+std::uint32_t ClusterHome(const B& b, std::uint32_t cluster) {
+  const std::uint32_t n = b.NumCtxs();
+  for (std::uint32_t id = 0; id < n; ++id) {
+    if (b.ClusterOfCtx(id) == cluster) {
+      return b.HomeOf(id);
+    }
+  }
+  return 0;
+}
 
 // A backend whose TaskT<T> is T itself completes every operation at the
 // call, so the cores compile against it as plain functions (two_pass.h).

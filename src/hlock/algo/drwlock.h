@@ -40,9 +40,20 @@
 // retire); WriterDepart clears the flag with release (publishing the writer's
 // writes to the readers it admits).
 //
+// The sweep covers clusters [0, B::ClustersInUse()), not every counter: a
+// native process with 8 live threads in one-thread clusters sweeps 8
+// counters, not kMaxThreads.  The writer reads that bound (natively a
+// seq_cst load of hlock::ThreadIdHighWater) once, *after* its seq_cst flag
+// store.  A reader whose id was issued after the bound load published the id
+// with a seq_cst store that follows the load in the total order, and its
+// increment and flag load follow that; so it reads the flag raised and backs
+// out.  Every other reader's cluster is below the bound.
+//
 // Deliberate-bug knobs for the model checker (tests/hcheck/drwlock_*):
 // kBrokenSweep skips cluster 0 in the writer sweep (a reader there
 // coexists with the writer -- hcheck catches the exclusion violation);
+// kBrokenBoundEarly reads the sweep bound before the flag store (a reader
+// that takes a fresh id in between is admitted past the bound);
 // kBrokenUnderflow double-decrements in the reader backout path (the counter
 // underflow check fires, or a phantom reader admission breaks exclusion).
 
@@ -67,6 +78,7 @@ enum class DrwPreference : std::uint8_t {
 enum class DrwBroken : std::uint8_t {
   kNone,
   kBrokenSweep,      // writer sweep skips cluster 0
+  kBrokenBoundEarly, // writer reads the sweep bound before raising the flag
   kBrokenUnderflow,  // reader backout decrements twice
 };
 
@@ -106,7 +118,7 @@ class DrwLockCore<B> {
     b_->InitWord(wflag_, home, 0);
     b_->InitWord(wmutex_, home, 0);
     for (std::uint32_t c = 0; c < num_clusters_; ++c) {
-      b_->InitWord(counters_[c].w, ClusterHome(c), 0);
+      b_->InitWord(counters_[c].w, ClusterHome(*b_, c), 0);
     }
   }
   DrwLockCore(const DrwLockCore&) = delete;
@@ -200,7 +212,8 @@ class DrwLockCore<B> {
       HLOCK_RETURN false;
     }
     HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
-    for (std::uint32_t c = 0; c < num_clusters_; ++c) {
+    const std::uint32_t bound = b_->ClustersInUse();  // after the flag store
+    for (std::uint32_t c = 0; c < bound; ++c) {
       const std::uint64_t readers =
           HLOCK_AWAIT b_->Load(ctx, counters_[c].w, std::memory_order_seq_cst);
       HLOCK_AWAIT b_->Exec(ctx, 0, 1);
@@ -262,7 +275,7 @@ class DrwLockCore<B> {
     // take exclusively.
     HLOCK_AWAIT DropReader(ctx, counters_[cluster].w, std::memory_order_release);
     writer_.Contend(wait, ProbeCaller(b_, ctx));
-    HLOCK_AWAIT Sweep(ctx);
+    HLOCK_AWAIT Sweep(ctx, b_->ClustersInUse());
     writer_.Grant(wait, ProbeCaller(b_, ctx));
     HLOCK_RETURN true;
   }
@@ -309,16 +322,6 @@ class DrwLockCore<B> {
     Word w;
   };
 
-  std::uint32_t ClusterHome(std::uint32_t cluster) const {
-    const std::uint32_t n = b_->NumCtxs();
-    for (std::uint32_t id = 0; id < n; ++id) {
-      if (b_->ClusterOfCtx(id) == cluster) {
-        return b_->HomeOf(id);
-      }
-    }
-    return 0;
-  }
-
   // CAS-increment (HECTOR-style swap-only hardware never runs this lock; the
   // beyond-the-paper locks already assume CAS, see backend.h).
   TaskT<void> BumpReader(Ctx& ctx, Word& counter) {
@@ -351,16 +354,17 @@ class DrwLockCore<B> {
     }
   }
 
-  // Waits for every cluster counter to drain.  seq_cst loads: they are the
-  // writer's half of the Dekker race against reader increments.
-  TaskT<void> Sweep(Ctx& ctx) {
+  // Waits for the counters of clusters [0, bound) to drain.  seq_cst loads:
+  // they are the writer's half of the Dekker race against reader increments.
+  // A definitive sweep's bound is read after the flag store (header comment).
+  TaskT<void> Sweep(Ctx& ctx, std::uint32_t bound) {
     std::uint32_t first = 0;
     if (broken_ == DrwBroken::kBrokenSweep && num_clusters_ > 1) {
       // BUG (deliberate, for hcheck): never looks at cluster 0, so a reader
       // there runs concurrently with the "exclusive" holder.
       first = 1;
     }
-    for (std::uint32_t c = first; c < num_clusters_; ++c) {
+    for (std::uint32_t c = first; c < bound; ++c) {
       PollBackoff poll;
       while (true) {
         const std::uint64_t readers =
@@ -382,10 +386,18 @@ class DrwLockCore<B> {
       // Flagless pre-drain: readers arriving now are admitted ahead of us.
       // Only once the population hits zero does the flag go up, so the
       // definitive sweep below is near-instant in the common case.
-      HLOCK_AWAIT Sweep(ctx);
+      HLOCK_AWAIT Sweep(ctx, b_->ClustersInUse());
+    }
+    std::uint32_t early_bound = 0;
+    if (broken_ == DrwBroken::kBrokenBoundEarly) {
+      // BUG (deliberate, for hcheck): a reader that takes a fresh id between
+      // this load and the flag store lands past the bound, reads the flag
+      // still down, and is never swept.
+      early_bound = b_->ClustersInUse();
     }
     HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
-    HLOCK_AWAIT Sweep(ctx);
+    HLOCK_AWAIT Sweep(ctx, broken_ == DrwBroken::kBrokenBoundEarly ? early_bound
+                                                                  : b_->ClustersInUse());
     writer_.Grant(wait, ProbeCaller(b_, ctx));
   }
 

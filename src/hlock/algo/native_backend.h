@@ -130,6 +130,12 @@ class NativeBackend {
   std::uint32_t NumClusters() const {
     return (NumCtxs() + procs_per_cluster_ - 1) / procs_per_cluster_;
   }
+  // The clusters of every id issued so far (hlock::ThreadIdHighWater).
+  std::uint32_t ClustersInUse() const {
+    const std::uint32_t ids = Platform::ThreadIdHighWater();
+    const std::uint32_t used = (ids + procs_per_cluster_ - 1) / procs_per_cluster_;
+    return used < NumClusters() ? used : NumClusters();
+  }
   std::uint32_t procs_per_cluster() const { return procs_per_cluster_; }
   std::uint32_t HomeOf(std::uint32_t /*ctx_id*/) const { return 0; }
 

@@ -16,6 +16,8 @@
 //   PoolLock             small BasicLockable for node-pool protection
 //   Backoff              spin-wait helper with Pause() and rounds()
 //   ThreadId()           dense id of the calling thread, < kMaxThreads
+//   ThreadIdHighWater()  ids issued so far (seq_cst load): every id ThreadId()
+//                        returned, on any thread, is below it
 //   Fence(memory_order)  std::atomic_thread_fence equivalent
 //   Pause()              one cpu-relax hint
 //   Check(cond, msg)     invariant check; must not return when cond is false
@@ -47,6 +49,7 @@ struct StdPlatform {
   using Backoff = hlock::Backoff;
 
   static std::uint32_t ThreadId() { return CurrentThreadId(); }
+  static std::uint32_t ThreadIdHighWater() { return hlock::ThreadIdHighWater(); }
   static void Fence(std::memory_order mo) { std::atomic_thread_fence(mo); }
   static void Pause() { CpuRelax(); }
   static void Check(bool cond, const char* msg) {

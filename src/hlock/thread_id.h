@@ -16,10 +16,22 @@
 // a lock, and every hlock primitive restores its per-thread node to the rest
 // state before returning, so an id is only ever reused with its nodes
 // quiescent.
+//
+// ThreadIdHighWater() is the number of distinct ids ever issued: every id a
+// thread holds now, or held before, is below it.  It only grows, and a
+// recycled id does not raise it.  Per-id (or per-cluster-of-ids) structures
+// stay sized by kMaxThreads, but a scan over them that only needs the slots
+// some thread can have touched -- the distributed RW lock's writer sweep --
+// stops at the high-water.  It is published with a seq_cst store when a
+// fresh id is issued, before the thread can use that id, so a seq_cst
+// scanner that reads the high-water after its own seq_cst store either
+// covers the new id or is ordered before everything the new thread does with
+// it (DESIGN.md, "Distributed RW lock").
 
 #ifndef HLOCK_THREAD_ID_H_
 #define HLOCK_THREAD_ID_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +57,7 @@ class ThreadIdSlot {
       return;
     }
     id_ = NextId()++;
+    HighWater().store(NextId(), std::memory_order_seq_cst);
     if (id_ >= kMaxThreads) {
       std::fprintf(stderr,
                    "hlock: more than %u concurrently live threads are using "
@@ -65,6 +78,11 @@ class ThreadIdSlot {
   ThreadIdSlot& operator=(const ThreadIdSlot&) = delete;
 
   std::uint32_t id() const { return id_; }
+
+  static std::atomic<std::uint32_t>& HighWater() {
+    static std::atomic<std::uint32_t> high_water{0};
+    return high_water;
+  }
 
  private:
   // Intentionally leaked: thread_local destructors of late-exiting threads
@@ -90,6 +108,11 @@ class ThreadIdSlot {
 inline std::uint32_t CurrentThreadId() {
   thread_local const internal::ThreadIdSlot slot;
   return slot.id();
+}
+
+// The number of dense ids issued so far (see the header comment).
+inline std::uint32_t ThreadIdHighWater() {
+  return internal::ThreadIdSlot::HighWater().load(std::memory_order_seq_cst);
 }
 
 }  // namespace hlock

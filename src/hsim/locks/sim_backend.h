@@ -90,6 +90,8 @@ class SimBackend {
   std::uint32_t NumCtxs() const { return machine_->config().num_processors(); }
   std::uint32_t ClusterOfCtx(std::uint32_t id) const { return machine_->station_of(id); }
   std::uint32_t NumClusters() const { return machine_->config().stations; }
+  // A simulated processor set is fixed, so every station is in use.
+  std::uint32_t ClustersInUse() const { return NumClusters(); }
   // One processor per processor-memory module: a caller's local module is its
   // own id, which is where its queue nodes belong.
   std::uint32_t HomeOf(std::uint32_t ctx_id) const { return ctx_id; }

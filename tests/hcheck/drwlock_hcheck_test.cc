@@ -3,14 +3,19 @@
 // a writer excludes every reader (the Dekker race between reader increments
 // and the flag+sweep is where acquire/release alone would lose), writers
 // exclude each other, and upgrade/downgrade hand the hold over without a
-// window.  Two deliberately broken variants prove the checker can see the
-// protocol's failure modes:
+// window.  The writer sweeps only the clusters of thread ids issued so far
+// (hcheck::Platform models the id high-water), so a reader that takes its id
+// mid-sweep must still be excluded.  Three deliberately broken variants prove
+// the checker can see the protocol's failure modes:
 //
-//   kBrokenSweep      the writer sweep skips cluster 0, so a reader there
-//                     runs concurrently with the "exclusive" holder (MX
-//                     violation, caught via a readers-inside counter).
-//   kBrokenUnderflow  the reader backout path decrements twice, wrapping the
-//                     cluster counter (the underflow Check fires).
+//   kBrokenSweep       the writer sweep skips cluster 0, so a reader there
+//                      runs concurrently with the "exclusive" holder (MX
+//                      violation, caught via a readers-inside counter).
+//   kBrokenBoundEarly  the writer reads the sweep bound before raising the
+//                      flag, so a reader that registers in between is
+//                      admitted past the bound (MX violation).
+//   kBrokenUnderflow   the reader backout path decrements twice, wrapping the
+//                      cluster counter (the underflow Check fires).
 
 #include <gtest/gtest.h>
 
@@ -209,6 +214,58 @@ TEST(DrwLockHcheck, UpgradeDowngradeHandsOverWithoutWindow) {
     core->Release(ctx);
   });
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
+}
+
+// A reader that takes its thread id only once the writer has begun to
+// arrive: its cluster may lie past the bound the writer's sweep reads, so
+// exclusion rests on the bound being read after the flag store.  The writer
+// takes the embedder path (WriterArrive/WriterDepart under its own writer
+// mutex), which is how a HybridTable chain insert excludes readers.  Run with
+// DrwBroken::kNone it must pass; with kBrokenBoundEarly it must fail.
+hcheck::Result CheckReaderRegisteringMidSweep(DrwBroken broken) {
+  hcheck::Options opts;
+  opts.max_schedules = 60000;
+  return hcheck::Check(opts, [broken] {
+    auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
+    auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0,
+                                          DrwPreference::kWriters, broken);
+    auto arriving = std::make_shared<hcheck::Atomic<int>>(0);
+    auto readers_in = std::make_shared<hcheck::Atomic<int>>(0);
+    auto writer_in = std::make_shared<hcheck::Atomic<int>>(0);
+    hcheck::Thread reader = hcheck::Spawn([core, arriving, readers_in, writer_in] {
+      while (arriving->load(std::memory_order_acquire) == 0) {
+        hcheck::Yield();
+      }
+      auto ctx = Self();  // first id use: raises the high-water to 2
+      core->AcquireShared(ctx);
+      readers_in->store(1, std::memory_order_relaxed);
+      HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
+      hcheck::Yield();
+      HCHECK_ASSERT(writer_in->load(std::memory_order_relaxed) == 0);
+      readers_in->store(0, std::memory_order_relaxed);
+      core->ReleaseShared(ctx);
+    });
+    auto ctx = Self();  // id 0: the high-water is 1, one cluster in use
+    arriving->store(1, std::memory_order_release);
+    core->WriterArrive(ctx);
+    HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
+    writer_in->store(1, std::memory_order_relaxed);
+    hcheck::Yield();
+    HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
+    writer_in->store(0, std::memory_order_relaxed);
+    core->WriterDepart(ctx);
+    reader.Join();
+  });
+}
+
+TEST(DrwLockHcheck, ReaderRegisteringMidSweepIsExcluded) {
+  const hcheck::Result res = CheckReaderRegisteringMidSweep(DrwBroken::kNone);
+  EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
+}
+
+TEST(DrwLockHcheck, BrokenBoundEarlyViolatesExclusion) {
+  const hcheck::Result res = CheckReaderRegisteringMidSweep(DrwBroken::kBrokenBoundEarly);
+  EXPECT_TRUE(res.failed) << "hcheck failed to catch the sweep bound read before the flag";
 }
 
 // The broken sweep never looks at cluster 0, so the writer is granted while
