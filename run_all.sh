@@ -122,8 +122,7 @@ if [ "$PROFILE" = 1 ]; then
       --trace="$PROFILE_DIR/fig5_trace.json" > "$PROFILE_DIR/fig5_report.txt"
   tail -n +1 "$PROFILE_DIR/fig5_report.txt"
   # Surface the trace session's drop counters: a nonzero droppedSpans means
-  # the overall event cap truncated the trace and downstream reports (hprof
-  # queue depths, hwhy span exports) undercount accordingly.
+  # the overall event cap truncated the trace that Perfetto shows.
   python3 - "$PROFILE_DIR/fig5_trace.json" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
@@ -133,10 +132,28 @@ mem = doc.get("droppedMemoryEvents", 0)
 print(f"trace drops: droppedSpans={spans} droppedMemoryEvents={mem}"
       + ("  (trace is complete)" if spans == 0 else "  (TRACE TRUNCATED)"))
 EOF
-  echo "==== hprof CLI on the exported lockprof + trace documents"
+  echo "==== hprof CLI on the exported lockprof document"
   ./build/tools/hprof "$PROFILE_DIR/fig5_lockprof.json"
-  ./build/tools/hprof --json "$PROFILE_DIR/fig5_trace.json" > "$PROFILE_DIR/fig5_trace_report.json"
-  echo "wrote $PROFILE_DIR/fig5_trace_report.json"
+  ./build/tools/hprof --json "$PROFILE_DIR/fig5_lockprof.json" > "$PROFILE_DIR/fig5_hprof_report.json"
+  # The shared kernel lock must rank first and hand off across clusters.
+  python3 - "$PROFILE_DIR/fig5_hprof_report.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+assert doc["schema"] == "hurricane-hprof-report/1", doc["schema"]
+top = doc["sites"][0]
+assert top["name"] == "kernel/shared", top["name"]
+assert top["handoffs"]["cross_cluster"] > 0, top["handoffs"]
+print(f"hprof report ok: kernel/shared ranks first, "
+      f"{top['handoffs']['cross_cluster']} cross-cluster handoffs")
+EOF
+  # Lock statistics come only from lockprof exports: a trace is bad input.
+  rc=0
+  ./build/tools/hprof "$PROFILE_DIR/fig5_trace.json" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != 1 ]; then
+    echo "hprof on a Chrome trace exited $rc, expected 1" >&2
+    exit 1
+  fi
 fi
 
 if [ "$HCHECK" = 1 ]; then

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace hflight {
 namespace {
@@ -85,24 +86,12 @@ bool BlameReport::AddFlight(const hmetrics::JsonValue& doc, std::string* error) 
 }
 
 bool BlameReport::AddLockProf(const hmetrics::JsonValue& doc, std::string* error) {
-  if (!doc.is_object() || !doc.Has("sites") || !doc["sites"].is_array()) {
-    if (error != nullptr) {
-      *error = "not a hurricane-lockprof/1 document";
-    }
+  hprof::ProfileReport parsed;
+  if (!parsed.AddLockProf(doc, error)) {
     return false;
   }
-  for (const hmetrics::JsonValue& s : doc["sites"].array) {
-    LockProfRow row;
-    row.acquisitions = U64(s["acquisitions"]);
-    row.contended = U64(s["contended"]);
-    const hmetrics::JsonValue& handoffs = s["handoffs"];
-    const std::uint64_t same_p = U64(handoffs["same_processor"]);
-    const std::uint64_t same_c = U64(handoffs["same_cluster"]);
-    const std::uint64_t cross = U64(handoffs["cross_cluster"]);
-    const std::uint64_t total = same_p + same_c + cross;
-    row.remote_handoff_pct =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(cross) / static_cast<double>(total);
-    lockprof_[s["name"].string_value] = row;
+  for (hprof::SiteReport& row : parsed.sites()) {
+    lockprof_[row.name] = std::move(row);
   }
   return true;
 }
@@ -165,7 +154,7 @@ bool BlameReport::Analyze(std::string* error) {
       b.have_lockprof = true;
       b.acquisitions = it->second.acquisitions;
       b.contended = it->second.contended;
-      b.remote_handoff_pct = it->second.remote_handoff_pct;
+      b.remote_handoff_pct = it->second.remote_handoff_pct();
     }
     sites_.push_back(std::move(b));
   }

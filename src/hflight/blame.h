@@ -31,6 +31,7 @@
 
 #include "src/hmetrics/json.h"
 #include "src/hflight/flight.h"
+#include "src/hprof/report.h"
 
 namespace hflight {
 
@@ -73,8 +74,9 @@ class BlameReport {
   // Consumes a parsed hurricane-flight/1 document.
   bool AddFlight(const hmetrics::JsonValue& doc, std::string* error);
 
-  // Consumes a parsed hurricane-lockprof/1 document; merged by site name
-  // into the blamed sites.  Order-independent with AddFlight.
+  // Consumes a parsed hurricane-lockprof/1 document through
+  // hprof::ProfileReport::AddLockProf; its rows merge by site name into the
+  // blamed sites.  Order-independent with AddFlight.
   bool AddLockProf(const hmetrics::JsonValue& doc, std::string* error);
 
   // Runs the analysis over the tail records loaded so far.  Returns false
@@ -123,12 +125,7 @@ class BlameReport {
   std::vector<TailRecord> tail_;
   std::vector<std::string> site_names_;
   std::map<std::string, std::uint32_t> site_ids_;
-  struct LockProfRow {
-    std::uint64_t acquisitions = 0;
-    std::uint64_t contended = 0;
-    double remote_handoff_pct = 0.0;
-  };
-  std::map<std::string, LockProfRow> lockprof_;
+  std::map<std::string, hprof::SiteReport> lockprof_;
 
   // Analyze() outputs.
   std::uint64_t tail_total_ = 0;

@@ -222,7 +222,7 @@ class KernelSystem {
   // its batch size into the "kernel.rpc_batch_depth" histogram, and
   // PublishCounters() snapshots the Counters struct into "kernel.*" counters.
   // The Counters struct stays the hot-path accumulator; the registry is a
-  // view over it, exactly as OpStats relates to ChargeOpStats.
+  // view over it.
   void set_metrics(hmetrics::Registry* registry) {
     metrics_ = registry;
     rpc_batch_depth_ =

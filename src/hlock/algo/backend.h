@@ -102,9 +102,10 @@
 // BasicMcsLock keeps its own body: caller-owned nodes + CAS release, the
 // modern-hardware reference the native mcs_h2/mcs_classic ratio divides by,
 // and its Enqueue/WaitForGrant split is what the hcheck FIFO tests observe.
-// McsTryV1 and SpinThenBlockLock stay Platform-templated: their semantics
-// (interrupt re-entry, OS blocking) have no simulator mapping, and they
-// already run under two of the three memories.
+// McsTryV1 runs its queue on BasicMcsLock and adds only the per-thread
+// in_use flag.  It and SpinThenBlockLock stay Platform-templated: their
+// semantics (interrupt re-entry, OS blocking) have no simulator mapping, and
+// they already run under two of the three memories.
 
 #ifndef HLOCK_ALGO_BACKEND_H_
 #define HLOCK_ALGO_BACKEND_H_

@@ -17,20 +17,6 @@
 // table's coarse chain lock -- can reuse that lock as the writer mutex and
 // pay only for the sweep.
 //
-// Preference knob: kWriters (default) raises the flag immediately, so the
-// writer waits only for in-flight readers; kReaders makes the writer first
-// drain the counters *without* the flag raised, admitting readers that arrive
-// ahead of it (readers stay fully parallel at the price of possible writer
-// starvation -- the classic reader-preference trade).  Reader-side code is
-// identical in both modes, which is what keeps the reader fast path two local
-// operations.
-//
-// upgrade()/downgrade() follow the dgos rwspinlock API shape: TryUpgrade is a
-// *try* -- two concurrent upgraders would deadlock waiting for each other's
-// read hold, so the loser must release and reacquire; Downgrade re-enters the
-// caller's cluster counter before the flag drops, so no writer can sneak in
-// between.
-//
 // Memory orders (the table in DESIGN.md): reader increment (CAS success) and
 // the flag load after it are seq_cst, and so are the writer's flag store and
 // sweep loads -- the two sides form a store-load (Dekker) race that acquire/
@@ -70,11 +56,6 @@
 
 namespace hlock::algo {
 
-enum class DrwPreference : std::uint8_t {
-  kWriters,  // flag up first, sweep once: bounded writer wait
-  kReaders,  // flagless pre-drain: arriving readers overtake a waiting writer
-};
-
 enum class DrwBroken : std::uint8_t {
   kNone,
   kBrokenSweep,      // writer sweep skips cluster 0
@@ -105,11 +86,8 @@ class DrwLockCore<B> {
   // `home` places the writer-side words (flag + writer mutex); each cluster's
   // reader counter is homed at that cluster's first context's module, which
   // is what makes the reader fast path local in the simulator.
-  explicit DrwLockCore(B* b, std::uint32_t home = 0,
-                       DrwPreference preference = DrwPreference::kWriters,
-                       DrwBroken broken = DrwBroken::kNone)
+  explicit DrwLockCore(B* b, std::uint32_t home = 0, DrwBroken broken = DrwBroken::kNone)
       : b_(b),
-        preference_(preference),
         broken_(broken),
         num_clusters_(b->NumClusters()),
         counters_(new PaddedWord[b->NumClusters()]),
@@ -251,51 +229,9 @@ class DrwLockCore<B> {
     HLOCK_AWAIT b_->Exec(ctx, 0, 1);
   }
 
-  // --- upgrade / downgrade --------------------------------------------------
-
-  // Upgrades a shared hold to exclusive.  A *try*: two upgraders would each
-  // wait forever for the other's read count, so on a lost writer-mutex race
-  // the caller must ReleaseShared and take the write path from scratch.  On
-  // success the shared hold has been consumed.
-  TaskT<bool> TryUpgrade(Ctx& ctx) {
-    const bool won = HLOCK_AWAIT b_->CompareSwap(ctx, wmutex_, 0, 1,
-                                                 std::memory_order_acquire,
-                                                 std::memory_order_relaxed);
-    HLOCK_AWAIT b_->Exec(ctx, 1, 1);
-    if (!won) {
-      HLOCK_RETURN false;
-    }
-    const std::uint32_t id = b_->CtxId(ctx);
-    const std::uint32_t cluster = b_->ClusterOfCtx(id);
-    hprof::SiteProbe::Wait wait = writer_.Begin(ProbeCaller(b_, ctx));
-    readers_[id].Release(ProbeCaller(b_, ctx));
-    HLOCK_AWAIT b_->Store(ctx, wflag_, 1, std::memory_order_seq_cst);
-    // Drop our own read count *after* the flag is up: between the drop and
-    // the sweep no new reader can slip in, so the sweep's zero is ours to
-    // take exclusively.
-    HLOCK_AWAIT DropReader(ctx, counters_[cluster].w, std::memory_order_release);
-    writer_.Contend(wait, ProbeCaller(b_, ctx));
-    HLOCK_AWAIT Sweep(ctx, b_->ClustersInUse());
-    writer_.Grant(wait, ProbeCaller(b_, ctx));
-    HLOCK_RETURN true;
-  }
-
-  // Downgrades an exclusive hold to shared without a window: the caller's
-  // cluster counter is re-entered *before* the flag drops, so a writer that
-  // arrives next sweeps into our read hold and waits.
-  TaskT<void> Downgrade(Ctx& ctx) {
-    const std::uint32_t id = b_->CtxId(ctx);
-    writer_.Release(ProbeCaller(b_, ctx));
-    HLOCK_AWAIT BumpReader(ctx, counters_[b_->ClusterOfCtx(id)].w);
-    readers_[id].GrantAtOnce(ProbeCaller(b_, ctx));
-    HLOCK_AWAIT b_->Store(ctx, wflag_, 0, std::memory_order_release);
-    HLOCK_AWAIT b_->Store(ctx, wmutex_, 0, std::memory_order_release);
-  }
-
   // --- introspection / profiling -------------------------------------------
 
   std::uint32_t num_clusters() const { return num_clusters_; }
-  DrwPreference preference() const { return preference_; }
   const std::string& name() const { return name_; }
 
   // Attaches reader/writer profiling sites (null detaches; they may differ --
@@ -308,8 +244,6 @@ class DrwLockCore<B> {
     }
     writer_.set_site(writer_site);
   }
-  hprof::LockSiteStats* reader_site() const { return readers_[0].site(); }
-  hprof::LockSiteStats* writer_site() const { return writer_.site(); }
   // The single-site interface every core has: the writer side, which is the
   // side Acquire/Release drive.
   void set_site(hprof::LockSiteStats* site) { writer_.set_site(site); }
@@ -356,7 +290,7 @@ class DrwLockCore<B> {
 
   // Waits for the counters of clusters [0, bound) to drain.  seq_cst loads:
   // they are the writer's half of the Dekker race against reader increments.
-  // A definitive sweep's bound is read after the flag store (header comment).
+  // The bound is read after the flag store (header comment).
   TaskT<void> Sweep(Ctx& ctx, std::uint32_t bound) {
     std::uint32_t first = 0;
     if (broken_ == DrwBroken::kBrokenSweep && num_clusters_ > 1) {
@@ -382,12 +316,6 @@ class DrwLockCore<B> {
 
   // Raises the flag and sweeps; the writer is granted once the sweep is done.
   TaskT<void> WriterArriveTimed(Ctx& ctx, const hprof::SiteProbe::Wait& wait) {
-    if (preference_ == DrwPreference::kReaders) {
-      // Flagless pre-drain: readers arriving now are admitted ahead of us.
-      // Only once the population hits zero does the flag go up, so the
-      // definitive sweep below is near-instant in the common case.
-      HLOCK_AWAIT Sweep(ctx, b_->ClustersInUse());
-    }
     std::uint32_t early_bound = 0;
     if (broken_ == DrwBroken::kBrokenBoundEarly) {
       // BUG (deliberate, for hcheck): a reader that takes a fresh id between
@@ -402,7 +330,6 @@ class DrwLockCore<B> {
   }
 
   B* b_;
-  DrwPreference preference_;
   DrwBroken broken_;
   std::uint32_t num_clusters_;
   Word wflag_;   // nonzero = a writer is sweeping or holding

@@ -21,7 +21,8 @@
 //   fair lock is only probabilistically fair and starves.
 //
 // Both locks are templated on the Platform policy (src/hlock/platform.h);
-// the unsuffixed aliases bind StdPlatform.  V1 stays hand-written: its
+// the unsuffixed aliases bind StdPlatform.  V1 runs its queue on
+// BasicMcsLock (mcs_locks.h) and adds the in_use flag around it: its
 // interrupt re-entry has no simulator mapping (see algo/backend.h).  The
 // StdPlatform instantiations are explicit (mcs_try_lock.cc) so other
 // translation units link against one copy.
@@ -35,6 +36,7 @@
 #include "src/hlock/algo/backend.h"
 #include "src/hlock/algo/native_backend.h"
 #include "src/hlock/algo/timeout_mcs.h"
+#include "src/hlock/mcs_locks.h"
 #include "src/hlock/padded.h"
 #include "src/hlock/platform.h"
 #include "src/hprof/lock_site.h"
@@ -66,7 +68,7 @@ class BasicMcsTryV1Lock {
                     "McsTryV1Lock::lock re-entered while this thread's node is in "
                     "use; interrupt contexts must use LockFromInterrupt");
     node.in_use.store(true, std::memory_order_relaxed);  // common-path cost
-    Enqueue(node);
+    queue_.lock(node.q);
   }
 
   // Interrupt-safe acquire: fails only when this thread's node is already in
@@ -79,34 +81,19 @@ class BasicMcsTryV1Lock {
                                              std::memory_order_relaxed)) {
       return false;
     }
-    Enqueue(node);
+    queue_.lock(node.q);
     return true;
   }
 
   // Attaches a profiling site (null detaches); wait/hold samples are host
   // nanoseconds.  Not thread-safe against concurrent lock users.
-  void set_site(hprof::LockSiteStats* site) { probe_.set_site(site); }
+  void set_site(hprof::LockSiteStats* site) { queue_.set_site(site); }
 
   void unlock() {
     QNode& node = *nodes_[Platform::ThreadId()];
     Platform::Check(node.in_use.load(std::memory_order_relaxed),
                     "McsTryV1Lock::unlock without a matching lock on this thread");
-    probe_.Release(kCaller);
-    QNode* succ = node.next.load(std::memory_order_acquire);
-    if (succ == nullptr) {
-      QNode* expected = &node;
-      if (!tail_.compare_exchange_strong(expected, nullptr, std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        typename Platform::Backoff backoff;
-        while ((succ = node.next.load(std::memory_order_acquire)) == nullptr) {
-          backoff.Pause();
-        }
-      }
-    }
-    if (succ != nullptr) {
-      node.next.store(nullptr, std::memory_order_relaxed);
-      succ->locked.store(false, std::memory_order_release);
-    }
+    queue_.unlock(node.q);
     // Release so a context that observes the node free also observes the
     // node's rest state restored (matters only if the observer is not this
     // thread; free for the in-order case).
@@ -115,31 +102,11 @@ class BasicMcsTryV1Lock {
 
  private:
   struct QNode {
-    typename Platform::template Atomic<QNode*> next{nullptr};
-    typename Platform::template Atomic<bool> locked{true};
+    typename BasicMcsLock<Platform>::QNode q;
     typename Platform::template Atomic<bool> in_use{false};
   };
 
-  // Enqueues and waits for the grant.
-  void Enqueue(QNode& node) {
-    hprof::SiteProbe::Wait wait = probe_.Begin(kCaller);
-    QNode* pred = tail_.exchange(&node, std::memory_order_acq_rel);
-    if (pred != nullptr) {
-      probe_.Contend(wait, kCaller);
-      pred->next.store(&node, std::memory_order_release);
-      typename Platform::Backoff backoff;
-      while (node.locked.load(std::memory_order_acquire)) {
-        backoff.Pause();
-      }
-      node.locked.store(true, std::memory_order_relaxed);
-    }
-    probe_.Grant(wait, kCaller);
-  }
-
-  static constexpr hprof::HostCaller kCaller{&Platform::ThreadId};
-
-  typename Platform::template Atomic<QNode*> tail_{nullptr};
-  hprof::SiteProbe probe_;
+  BasicMcsLock<Platform> queue_;
   Padded<QNode> nodes_[Platform::kMaxThreads];
 };
 

@@ -12,9 +12,9 @@
 //
 // Members that only some cores support exist only where the core provides the
 // operation they forward to (a requires-clause on the core, never on which
-// core it is): try_lock, the shared side of a reader-writer core, upgrade and
-// downgrade, the timed acquire, and the repair / reclaim counters.  Anything
-// else is reachable through core().
+// core it is): try_lock, the shared side of a reader-writer core, the timed
+// acquire, and the repair / reclaim counters.  Anything else is reachable
+// through core().
 //
 // Construction: `procs_per_cluster` maps dense thread ids onto clusters (see
 // NativeBackend); the remaining arguments go to the core after its backend
@@ -96,25 +96,6 @@ class NativeLock {
   {
     Ctx ctx = Self();
     return core_.TryAcquireShared(ctx);
-  }
-
-  // Upgrades a shared hold to exclusive.  On false the shared hold is
-  // *retained* -- the caller must unlock_shared() and take lock() from
-  // scratch (two winners would deadlock on each other's read count, so this
-  // can only be a try).  On true the shared hold has been consumed.
-  bool try_upgrade()
-    requires requires(CoreType& c, Ctx& x) { c.TryUpgrade(x); }
-  {
-    Ctx ctx = Self();
-    return core_.TryUpgrade(ctx);
-  }
-
-  // Downgrades an exclusive hold to shared with no writer-sneak window.
-  void downgrade()
-    requires requires(CoreType& c, Ctx& x) { c.Downgrade(x); }
-  {
-    Ctx ctx = Self();
-    core_.Downgrade(ctx);
   }
 
   // --- statistics and profiling ------------------------------------------------

@@ -26,10 +26,9 @@
 //   DrwLock      distributed reader-writer lock: per-cluster padded reader
 //                counters (a reader entry/exit touches only its own
 //                cluster's line), writer flag + cluster sweep.
-//                std::shared_mutex-shaped API plus try_upgrade()/downgrade();
-//                `preference` picks who overtakes whom when readers and a
-//                writer collide (see algo::DrwPreference).  set_site profiles
-//                the writer side; core().set_sites attaches both.
+//                std::shared_mutex-shaped API; a writer raises the flag at
+//                once, so it waits only for readers already in.  set_site
+//                profiles the writer side; core().set_sites attaches both.
 
 #ifndef HLOCK_NUMA_LOCKS_H_
 #define HLOCK_NUMA_LOCKS_H_

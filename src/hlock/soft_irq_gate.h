@@ -84,24 +84,11 @@ class BasicSoftIrqGate {
   // Posts work.  If called by the owner with the gate open, consider calling
   // Poll() afterwards; otherwise the work runs at the owner's next Poll/Exit.
   void Post(std::function<void()> work) {
-    auto* item = new WorkItem{std::move(work), {nullptr}};
-    const std::uint64_t pending = pending_.fetch_add(1, std::memory_order_relaxed) + 1;
-    std::uint64_t hw = high_water_.load(std::memory_order_relaxed);
-    while (pending > hw &&
-           !high_water_.compare_exchange_weak(hw, pending, std::memory_order_relaxed)) {
-    }
-    queue_.Push(item);
+    queue_.Push(new WorkItem{std::move(work), {nullptr}});
   }
 
   // --- statistics -----------------------------------------------------------------
   std::uint64_t executed() const { return executed_; }
-  std::uint64_t deferred_high_water() const {
-    return high_water_.load(std::memory_order_relaxed);
-  }
-
-  // Items posted but not yet executed.  Any-thread readable; exact once
-  // producers have quiesced (shutdown drain loops poll it).
-  std::uint64_t pending() const { return pending_.load(std::memory_order_acquire); }
 
  private:
   struct WorkItem {
@@ -121,7 +108,6 @@ class BasicSoftIrqGate {
     while (WorkItem* item = queue_.Pop()) {
       item->work();
       ++executed_;
-      pending_.fetch_sub(1, std::memory_order_relaxed);
       delete item;
     }
   }
@@ -130,9 +116,7 @@ class BasicSoftIrqGate {
 
   int depth_ = 0;          // owner-only
   bool draining_ = false;  // owner-only: prevents re-entrant drains
-  std::uint64_t executed_ = 0;
-  typename Platform::template Atomic<std::uint64_t> high_water_{0};  // CAS-max by producers
-  typename Platform::template Atomic<std::uint64_t> pending_{0};
+  std::uint64_t executed_ = 0;  // owner-only
 };
 
 using SoftIrqGate = BasicSoftIrqGate<>;

@@ -97,19 +97,6 @@ class LockSiteStats {
   LockSiteStats(const LockSiteStats&) = delete;
   LockSiteStats& operator=(const LockSiteStats&) = delete;
 
-  static Handoff Classify(std::uint32_t prev_owner, std::uint32_t new_owner,
-                          std::uint32_t procs_per_cluster) {
-    if (prev_owner == new_owner) {
-      return Handoff::kSameProcessor;
-    }
-    if (procs_per_cluster == 0) {
-      procs_per_cluster = 1;
-    }
-    return prev_owner / procs_per_cluster == new_owner / procs_per_cluster
-               ? Handoff::kSameCluster
-               : Handoff::kCrossCluster;
-  }
-
   // Monotonic host clock in nanoseconds, for native (non-simulated) locks
   // whose wait/hold intervals are wall time.  Simulated locks pass ticks of
   // simulated time instead and never call this.

@@ -1,11 +1,13 @@
 #include "src/hprof/report.h"
 
 #include <algorithm>
-#include <cmath>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -13,36 +15,6 @@ namespace hprof {
 namespace {
 
 using hmetrics::JsonValue;
-
-// Nearest-rank percentile with hmetrics::Histogram's rank rule, over a sorted
-// vector of doubles (trace timestamps are already in microseconds).
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    return 0.0;
-  }
-  p = std::min(std::max(p, 0.0), 100.0);
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  return sorted[static_cast<std::size_t>(rank + 0.5)];
-}
-
-HistStats StatsFromSamples(std::vector<double> samples) {
-  HistStats s;
-  s.count = samples.size();
-  if (samples.empty()) {
-    return s;
-  }
-  std::sort(samples.begin(), samples.end());
-  for (double v : samples) {
-    s.sum_us += v;
-  }
-  s.min_us = samples.front();
-  s.max_us = samples.back();
-  s.mean_us = s.sum_us / static_cast<double>(samples.size());
-  s.p50_us = Percentile(samples, 50);
-  s.p95_us = Percentile(samples, 95);
-  s.p99_us = Percentile(samples, 99);
-  return s;
-}
 
 // Reads a lockprof histogram object ({count,sum,min,max,mean,p50,p95,p99} in
 // ticks) into microseconds.
@@ -69,14 +41,6 @@ void Append(std::string* out, const char* fmt, ...) {
   *out += buf;
 }
 
-// One parsed lock/acquire span from a Chrome trace.
-struct AcquireEvent {
-  std::uint32_t tid = 0;
-  double ts_us = 0;     // wait started
-  double wait_us = 0;   // span duration
-  double grant_us = 0;  // ts + dur: the moment the lock was granted
-};
-
 }  // namespace
 
 bool ProfileReport::AddLockProf(const JsonValue& doc, std::string* error) {
@@ -89,6 +53,8 @@ bool ProfileReport::AddLockProf(const JsonValue& doc, std::string* error) {
   const double ticks_per_us = doc["ticks_per_us"].is_number() && doc["ticks_per_us"].number > 0
                                   ? doc["ticks_per_us"].number
                                   : 1.0;
+  // Rows join sites_ only once the whole document has parsed.
+  std::vector<SiteReport> rows;
   for (const JsonValue& s : doc["sites"].array) {
     SiteReport r;
     r.name = s["name"].string_value;
@@ -104,165 +70,23 @@ bool ProfileReport::AddLockProf(const JsonValue& doc, std::string* error) {
     r.handoff_cross_cluster = static_cast<std::uint64_t>(h["cross_cluster"].number);
     r.ticks_per_us = ticks_per_us;
     for (const auto& [key, share] : s["by_cluster"].object) {
-      LockSiteStats::ClusterShare cs;
+      std::uint32_t cluster = 0;
+      const char* end = key.data() + key.size();
+      const std::from_chars_result parsed = std::from_chars(key.data(), end, cluster);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        if (error != nullptr) {
+          *error = "site " + r.name + ": by_cluster key \"" + key + "\" is not a cluster id";
+        }
+        return false;
+      }
+      LockSiteStats::ClusterShare& cs = r.by_cluster[cluster];
       cs.acquisitions = static_cast<std::uint64_t>(share["acquisitions"].number);
       cs.wait_ticks = static_cast<std::uint64_t>(share["wait_sum"].number);
-      r.by_cluster[static_cast<std::uint32_t>(std::stoul(key))] = cs;
     }
-    sites_.push_back(std::move(r));
+    rows.push_back(std::move(r));
   }
-  return true;
-}
-
-bool ProfileReport::AddTrace(const JsonValue& doc, const TraceBuildOptions& opts,
-                             std::string* error) {
-  if (!doc.is_object() || !doc["traceEvents"].is_array()) {
-    if (error != nullptr) {
-      *error = "not a Chrome trace document (no traceEvents array)";
-    }
-    return false;
-  }
-  const std::uint32_t ppc = opts.procs_per_cluster == 0 ? 1 : opts.procs_per_cluster;
-
-  // Re-attribute events to lock sites.  Acquire spans carry the lock name in
-  // args.lock; release instants do too (older traces without the arg fall
-  // into one "unknown" bucket).
-  std::map<std::string, std::vector<AcquireEvent>> acquires;
-  std::map<std::string, std::vector<double>> truncated_waits;
-  std::map<std::pair<std::string, std::uint32_t>, std::vector<double>> releases;
-  for (const JsonValue& e : doc["traceEvents"].array) {
-    const std::string& name = e["name"].string_value;
-    const std::uint32_t tid = static_cast<std::uint32_t>(e["tid"].number);
-    const std::string lock =
-        e["args"]["lock"].is_string() ? e["args"]["lock"].string_value : "unknown";
-    if (name == "lock/acquire" && e["ph"].string_value == "X") {
-      if (e["args"]["truncated"].bool_value) {
-        // The run ended mid-wait: no grant, so no wait sample -- but the
-        // waiter held a queue slot from its arrival to the end of the trace,
-        // so it still counts for queue depth below.
-        truncated_waits[lock].push_back(e["ts"].number);
-        continue;
-      }
-      AcquireEvent a;
-      a.tid = tid;
-      a.ts_us = e["ts"].number;
-      a.wait_us = e["dur"].number;
-      a.grant_us = a.ts_us + a.wait_us;
-      acquires[lock].push_back(a);
-    } else if (name == "lock/release" && e["ph"].string_value == "i") {
-      releases[{lock, tid}].push_back(e["ts"].number);
-    }
-  }
-  for (auto& [key, rel] : releases) {
-    std::sort(rel.begin(), rel.end());
-  }
-
-  for (auto& [lock, events] : acquires) {
-    SiteReport r;
-    r.name = lock;
-    r.procs_per_cluster = ppc;
-    r.acquisitions = events.size();
-    r.ticks_per_us = 1.0;  // trace-derived shares are already microseconds
-
-    // Grant order drives the handoff matrix (ownership passes grant to
-    // grant); span overlap drives queue depth.
-    std::sort(events.begin(), events.end(),
-              [](const AcquireEvent& a, const AcquireEvent& b) {
-                return a.grant_us != b.grant_us ? a.grant_us < b.grant_us
-                                                : a.ts_us < b.ts_us;
-              });
-    bool have_prev = false;
-    std::uint32_t prev_tid = 0;
-    std::vector<double> waits;
-    waits.reserve(events.size());
-    for (const AcquireEvent& a : events) {
-      waits.push_back(a.wait_us);
-      if (a.wait_us > opts.contended_threshold_us) {
-        ++r.contended;
-      }
-      if (have_prev) {
-        switch (LockSiteStats::Classify(prev_tid, a.tid, ppc)) {
-          case Handoff::kSameProcessor:
-            ++r.handoff_same_processor;
-            break;
-          case Handoff::kSameCluster:
-            ++r.handoff_same_cluster;
-            break;
-          case Handoff::kCrossCluster:
-            ++r.handoff_cross_cluster;
-            break;
-        }
-      }
-      prev_tid = a.tid;
-      have_prev = true;
-      LockSiteStats::ClusterShare& share = r.by_cluster[a.tid / ppc];
-      ++share.acquisitions;
-      share.wait_ticks += static_cast<std::uint64_t>(std::llround(a.wait_us));
-    }
-    r.wait = StatsFromSamples(std::move(waits));
-
-    // Queue depth: maximum number of simultaneously-open acquire spans.  A
-    // two-pointer walk over the sorted arrival and departure times keeps the
-    // running depth non-negative by construction -- the event-delta sweep it
-    // replaces dipped negative on zero-length spans, whose departure sorted
-    // ahead of the matching arrival at the same timestamp.  Only departures
-    // strictly before an arrival clear a slot (a grant and the next waiter
-    // arriving at the same tick did coexist at that instant; with `<` the
-    // count of cleared slots also provably never exceeds i, so the depth
-    // cannot underflow even when many zero-length spans share one tick).
-    // Truncated spans are arrivals that never depart.
-    std::vector<double> starts;
-    std::vector<double> ends;
-    starts.reserve(events.size());
-    ends.reserve(events.size());
-    for (const AcquireEvent& a : events) {
-      starts.push_back(a.ts_us);
-      ends.push_back(a.grant_us);
-    }
-    if (auto t_it = truncated_waits.find(lock); t_it != truncated_waits.end()) {
-      starts.insert(starts.end(), t_it->second.begin(), t_it->second.end());
-    }
-    std::sort(starts.begin(), starts.end());
-    std::sort(ends.begin(), ends.end());
-    std::size_t max_depth = 0;
-    std::size_t departed = 0;
-    for (std::size_t i = 0; i < starts.size(); ++i) {
-      while (departed < ends.size() && ends[departed] < starts[i]) {
-        ++departed;
-      }
-      max_depth = std::max(max_depth, i + 1 - departed);
-    }
-    r.max_queue_depth = static_cast<std::uint32_t>(max_depth);
-
-    // Critical sections: per (lock, tid), each grant pairs with the next
-    // release at or after it.  Grants with no following release (run ended
-    // mid-hold) are skipped.
-    std::vector<double> holds;
-    std::map<std::uint32_t, std::vector<const AcquireEvent*>> per_tid;
-    for (const AcquireEvent& a : events) {
-      per_tid[a.tid].push_back(&a);
-    }
-    for (const auto& [tid, grants] : per_tid) {
-      auto it = releases.find({lock, tid});
-      if (it == releases.end()) {
-        continue;
-      }
-      const std::vector<double>& rel = it->second;
-      std::size_t ri = 0;
-      for (const AcquireEvent* a : grants) {  // already grant-sorted
-        while (ri < rel.size() && rel[ri] < a->grant_us - 1e-9) {
-          ++ri;
-        }
-        if (ri == rel.size()) {
-          break;
-        }
-        holds.push_back(rel[ri] - a->grant_us);
-        ++ri;
-      }
-    }
-    r.hold = StatsFromSamples(std::move(holds));
-    sites_.push_back(std::move(r));
-  }
+  sites_.insert(sites_.end(), std::make_move_iterator(rows.begin()),
+                std::make_move_iterator(rows.end()));
   return true;
 }
 

@@ -1,14 +1,6 @@
-// Offline analysis: turns raw profiling data into the ranked contention
-// report the hprof CLI prints.
-//
-// Two input formats feed the same report:
-//   - hurricane-lockprof/1 documents (SiteTable::ToJson), the in-process
-//     aggregation path -- cheap, always exact, no trace needed;
-//   - Chrome trace_event documents (TraceSession::WriteChromeTrace), the
-//     trace-analysis path: lock/acquire spans and lock/release instants are
-//     re-attributed to lock sites, wait times come from span durations,
-//     critical-section lengths from grant-to-release gaps, handoffs from the
-//     per-lock grant order, and queue depths from span overlap.
+// Offline analysis: turns hurricane-lockprof/1 documents (SiteTable::ToJson,
+// the in-process aggregation every profiled lock records into exactly) into
+// the ranked contention report the hprof CLI prints.
 //
 // The report ranks sites by total wait time (the cost a lock imposed on the
 // rest of the system, the paper's Figure 5 criterion), breaks contention down
@@ -76,23 +68,11 @@ struct SiteReport {
   }
 };
 
-struct TraceBuildOptions {
-  std::uint32_t procs_per_cluster = 4;  // HECTOR: 4 processors per station
-  // Acquire spans longer than this count as contended.  The uncontended
-  // remote lock/unlock pairs of Section 4.1.1 finish in ~1 us of acquire
-  // latency; 5 us cleanly separates them from real waiting.
-  double contended_threshold_us = 5.0;
-};
-
 class ProfileReport {
  public:
   // Consumes a parsed hurricane-lockprof/1 document.  Appends to any rows
   // already present (multi-file merges keep each file's sites distinct).
   bool AddLockProf(const hmetrics::JsonValue& doc, std::string* error);
-
-  // Consumes a parsed Chrome trace document (an object with "traceEvents").
-  bool AddTrace(const hmetrics::JsonValue& doc, const TraceBuildOptions& opts,
-                std::string* error);
 
   // Convenience: profile an in-memory SiteTable (serializes through the
   // lockprof schema so both producers exercise one code path).

@@ -87,25 +87,6 @@ LockStressResult RunLockStress(const LockStressParams& params) {
   result.end_tick = end;
   result.events = engine.events_processed();
 
-  if (params.metrics != nullptr) {
-    // Charge the run's instruction mix and lock counters into the registry,
-    // labeled by lock kind: the per-phase breakdown view of the run.
-    const hmetrics::Labels labels{{"lock", LockKindName(params.kind)}};
-    OpStats total;
-    for (std::uint32_t p = 0; p < params.processors; ++p) {
-      total += machine.processor(p).stats();
-    }
-    ChargeOpStats(params.metrics, total, labels);
-    params.metrics->counter("lock.acquisitions", labels).Add(result.acquisitions);
-    params.metrics->counter("lock.spin_retries", labels).Add(result.spin_retries);
-    params.metrics->counter("lock.mcs_repairs", labels).Add(result.mcs_repairs);
-    params.metrics->counter("machine.bus_wait_ticks", labels).Add(result.bus_wait);
-    params.metrics->counter("machine.mem_wait_ticks", labels).Add(result.mem_wait);
-    hmetrics::Histogram& h = params.metrics->histogram("lock.acquire_ticks", labels);
-    for (const Tick ticks : result.acquire_latency.samples()) {
-      h.Record(ticks);
-    }
-  }
   return result;
 }
 
@@ -169,13 +150,7 @@ RwStressResult RunRwLockStress(const RwStressParams& params) {
   Machine machine(&engine, params.machine);
   std::unique_ptr<SimLock> lock =
       MakeSimLock(&machine, params.kind, params.lock_home);
-  if (params.writer_site != nullptr) {
-    lock->set_site(params.writer_site);
-  }
   auto* drw = dynamic_cast<SimDrwLock*>(lock.get());
-  if (drw != nullptr && params.reader_site != nullptr) {
-    drw->core().set_sites(params.reader_site, drw->core().writer_site());
-  }
 
   RwStressResult result;
   RwShared shared;

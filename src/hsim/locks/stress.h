@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "src/hmetrics/registry.h"
 #include "src/hmetrics/trace.h"
 #include "src/hprof/lock_site.h"
 #include "src/hsim/locks/sim_lock.h"
@@ -32,11 +31,9 @@ struct LockStressParams {
   Tick duration = UsToTicks(20000);    // recorded window after warm-up
   MachineConfig machine;               // e.g. cache_coherent for Section 5.2
   // Optional observability hooks.  `trace` receives lock-acquire/release (and,
-  // category permitting, memory-access) spans; `metrics` receives the run's
-  // aggregate OpStats and lock counters as labeled series; `site` receives
-  // per-acquisition wait/hold/handoff samples for the stressed lock.
+  // category permitting, memory-access) spans; `site` receives per-acquisition
+  // wait/hold/handoff samples for the stressed lock.
   hmetrics::TraceSession* trace = nullptr;
-  hmetrics::Registry* metrics = nullptr;
   hprof::LockSiteStats* site = nullptr;
 };
 
@@ -86,10 +83,6 @@ struct RwStressParams {
   Tick warmup = UsToTicks(1000);
   Tick duration = UsToTicks(20000);
   MachineConfig machine;
-  // Optional split profiling sites (reader holds and writer holds are
-  // different histograms).  reader_site is honoured only for kDrw.
-  hprof::LockSiteStats* reader_site = nullptr;
-  hprof::LockSiteStats* writer_site = nullptr;
 };
 
 struct RwStressResult {

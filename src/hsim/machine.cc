@@ -9,7 +9,9 @@ namespace hsim {
 namespace {
 
 // Background occupancy of the one-way path taken by the store half of a
-// remote atomic swap.  Nobody waits on this; it just consumes bandwidth.
+// remote atomic swap.  Nobody waits on this (the processor resumed after the
+// fetch half); it just consumes bandwidth, which is what gives remote
+// test-and-set spinning its outsized second-order footprint.
 Task<void> TrailingStoreLegs(Machine* m, StationId src_station, StationId dst_station) {
   const MachineConfig& cfg = m->config();
   if (src_station == dst_station) {
@@ -172,7 +174,7 @@ Task<std::uint64_t> Processor::Access(SimWord& word, AccessKind kind, std::uint6
     co_await mem.UseOverlapped(mem_visible, mem_hold);
     co_await m.bus(src_station).Use(cfg.bus_response);
     co_await engine().Delay(cfg.remote_pad);
-    if (is_rmw && cfg.rmw_trailing_store_traffic) {
+    if (is_rmw) {
       m.engine().Spawn(TrailingStoreLegs(&m, src_station, dst_station));
     }
     co_return old;
@@ -190,7 +192,7 @@ Task<std::uint64_t> Processor::Access(SimWord& word, AccessKind kind, std::uint6
   co_await m.ring().Use(cfg.ring_hold);
   co_await m.bus(src_station).Use(cfg.ring_bus_hold);
   co_await engine().Delay(cfg.remote_pad);
-  if (is_rmw && cfg.rmw_trailing_store_traffic) {
+  if (is_rmw) {
     m.engine().Spawn(TrailingStoreLegs(&m, src_station, dst_station));
   }
   co_return old;

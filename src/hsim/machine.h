@@ -76,11 +76,6 @@ struct MachineConfig {
   Tick ring_hold = 2;        // ring hold per direction
   Tick remote_pad = 1;       // fixed interface latency for any off-module access
   std::uint32_t atomic_accesses = 2;  // an atomic swap performs two memory accesses
-  // The store half of a remote atomic swap travels the interconnect after the
-  // processor has resumed (it only waits for the fetch half).  Modelling that
-  // trailing one-way transfer is what gives remote test-and-set spinning its
-  // outsized second-order footprint.
-  bool rmw_trailing_store_traffic = true;
   // Section 5.2 what-if: hardware cache coherence with cache-based atomics.
   // Loads of a shared line and stores/RMWs to an exclusively-held line cost
   // `cache_hit_cycles` and touch no shared resource; misses and ownership

@@ -11,8 +11,6 @@
 
 #include <cstdint>
 
-#include "src/hmetrics/registry.h"
-
 namespace hsim {
 
 struct OpStats {
@@ -64,23 +62,6 @@ struct OpStats {
     return *this;
   }
 };
-
-// Charges an OpStats delta into an hmetrics registry, one counter series per
-// Figure-4 category.  OpStats itself stays the hot-path accumulator (a plain
-// struct the simulated locks bump inline, preserving exact Figure-4 counts);
-// this is the bridge that makes the same numbers visible as labeled series.
-inline void ChargeOpStats(hmetrics::Registry* registry, const OpStats& stats,
-                          const hmetrics::Labels& labels) {
-  registry->counter("sim.atomic_ops", labels).Add(stats.atomic_ops);
-  registry->counter("sim.mem_loads", labels).Add(stats.mem_loads);
-  registry->counter("sim.mem_stores", labels).Add(stats.mem_stores);
-  registry->counter("sim.reg_instrs", labels).Add(stats.reg_instrs);
-  registry->counter("sim.branches", labels).Add(stats.branches);
-  registry->counter("sim.idle_cycles", labels).Add(stats.idle_cycles);
-  registry->counter("sim.loc_local", labels).Add(stats.loc_local);
-  registry->counter("sim.loc_station", labels).Add(stats.loc_station);
-  registry->counter("sim.loc_ring", labels).Add(stats.loc_ring);
-}
 
 }  // namespace hsim
 

@@ -1,11 +1,10 @@
 // Model-checks the distributed reader-writer lock (algo::DrwLockCore) on the
 // hcheck weak-memory model: readers on different clusters genuinely coexist,
 // a writer excludes every reader (the Dekker race between reader increments
-// and the flag+sweep is where acquire/release alone would lose), writers
-// exclude each other, and upgrade/downgrade hand the hold over without a
-// window.  The writer sweeps only the clusters of thread ids issued so far
-// (hcheck::Platform models the id high-water), so a reader that takes its id
-// mid-sweep must still be excluded.  Three deliberately broken variants prove
+// and the flag+sweep is where acquire/release alone would lose), and writers
+// exclude each other.  The writer sweeps only the clusters of thread ids
+// issued so far (hcheck::Platform models the id high-water), so a reader that
+// takes its id mid-sweep must still be excluded.  Three deliberately broken variants prove
 // the checker can see the protocol's failure modes:
 //
 //   kBrokenSweep       the writer sweep skips cluster 0, so a reader there
@@ -32,7 +31,6 @@ namespace {
 using B = hlock::algo::NativeBackend<hcheck::Platform>;
 using DrwCore = hlock::algo::DrwLockCore<B>;
 using hlock::algo::DrwBroken;
-using hlock::algo::DrwPreference;
 
 typename B::Ctx Self() { return typename B::Ctx{hcheck::Platform::ThreadId()}; }
 
@@ -119,36 +117,6 @@ TEST(DrwLockHcheck, WriterExcludesReaders) {
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
 
-// Same exclusion property under reader preference: the writer's flagless
-// pre-drain must still end with a definitive flag+sweep, or an admitted
-// reader overlaps the write hold.
-TEST(DrwLockHcheck, WriterExcludesReadersUnderReaderPreference) {
-  hcheck::Options opts;
-  opts.max_schedules = 60000;
-  hcheck::Result res = hcheck::Check(opts, [] {
-    auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
-    auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0,
-                                          DrwPreference::kReaders);
-    auto readers_in = std::make_shared<hcheck::Atomic<int>>(0);
-    hcheck::Thread t = hcheck::Spawn([core, readers_in] {
-      auto ctx = Self();
-      core->AcquireShared(ctx);
-      readers_in->fetch_add(1, std::memory_order_relaxed);
-      hcheck::Yield();
-      readers_in->fetch_sub(1, std::memory_order_relaxed);
-      core->ReleaseShared(ctx);
-    });
-    auto ctx = Self();
-    core->Acquire(ctx);
-    HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-    hcheck::Yield();
-    HCHECK_ASSERT(readers_in->load(std::memory_order_relaxed) == 0);
-    core->Release(ctx);
-    t.Join();
-  });
-  EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
-}
-
 // Writer/writer exclusion through the standalone write path (wmutex), plus
 // lock reusability at quiescence.
 TEST(DrwLockHcheck, WritersExcludeEachOther) {
@@ -176,46 +144,6 @@ TEST(DrwLockHcheck, WritersExcludeEachOther) {
   EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
 }
 
-// Upgrade consumes the shared hold into an exclusive one with no window: a
-// concurrent reader must never observe the half-done write (1), only the
-// initial 0 or the completed 2.  Downgrade re-enters the reader side without
-// dropping the hold, so the downgraded reader still sees its own writes.
-TEST(DrwLockHcheck, UpgradeDowngradeHandsOverWithoutWindow) {
-  hcheck::Options opts;
-  opts.max_schedules = 60000;
-  hcheck::Result res = hcheck::Check(opts, [] {
-    auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
-    auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0);
-    auto value = std::make_shared<hcheck::Atomic<int>>(0);
-    hcheck::Thread t = hcheck::Spawn([core, value] {
-      auto ctx = Self();
-      core->AcquireShared(ctx);
-      const int seen = value->load(std::memory_order_relaxed);
-      HCHECK_ASSERT(seen == 0 || seen == 2);
-      core->ReleaseShared(ctx);
-    });
-    auto ctx = Self();
-    core->AcquireShared(ctx);
-    if (core->TryUpgrade(ctx)) {
-      // Exclusive now: the two-step write below is invisible half-done.
-      value->store(1, std::memory_order_relaxed);
-      hcheck::Yield();
-      value->store(2, std::memory_order_relaxed);
-      core->Downgrade(ctx);
-      HCHECK_ASSERT(value->load(std::memory_order_relaxed) == 2);
-      core->ReleaseShared(ctx);
-    } else {
-      // Lost the writer-mutex race (can't happen here -- no other writer --
-      // but the contract says the shared hold survives a failed try).
-      core->ReleaseShared(ctx);
-    }
-    t.Join();
-    HCHECK_ASSERT(core->TryAcquire(ctx));
-    core->Release(ctx);
-  });
-  EXPECT_FALSE(res.failed) << res.message << "\n" << res.trace;
-}
-
 // A reader that takes its thread id only once the writer has begun to
 // arrive: its cluster may lie past the bound the writer's sweep reads, so
 // exclusion rests on the bound being read after the flag store.  The writer
@@ -227,8 +155,7 @@ hcheck::Result CheckReaderRegisteringMidSweep(DrwBroken broken) {
   opts.max_schedules = 60000;
   return hcheck::Check(opts, [broken] {
     auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
-    auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0,
-                                          DrwPreference::kWriters, broken);
+    auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0, broken);
     auto arriving = std::make_shared<hcheck::Atomic<int>>(0);
     auto readers_in = std::make_shared<hcheck::Atomic<int>>(0);
     auto writer_in = std::make_shared<hcheck::Atomic<int>>(0);
@@ -278,7 +205,6 @@ TEST(DrwLockHcheck, BrokenSweepViolatesExclusion) {
   hcheck::Result res = hcheck::Check(opts, [] {
     auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
     auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0,
-                                          DrwPreference::kWriters,
                                           DrwBroken::kBrokenSweep);
     auto readers_in = std::make_shared<hcheck::Atomic<int>>(0);
     auto writer_done = std::make_shared<hcheck::Atomic<int>>(0);
@@ -315,7 +241,6 @@ TEST(DrwLockHcheck, BrokenUnderflowCaughtInBackout) {
   hcheck::Result res = hcheck::Check(opts, [] {
     auto backend = std::make_shared<B>(/*procs_per_cluster=*/1);
     auto core = std::make_shared<DrwCore>(backend.get(), /*home=*/0,
-                                          DrwPreference::kWriters,
                                           DrwBroken::kBrokenUnderflow);
     auto writer_holds = std::make_shared<hcheck::Atomic<int>>(0);
     hcheck::Thread reader = hcheck::Spawn([core, writer_holds] {

@@ -121,6 +121,22 @@ TEST(BlameReportTest, RejectsWrongSchemaAndEmptyInput) {
   EXPECT_NE(error.find("no flight document"), std::string::npos);
 }
 
+// A `sites` array alone does not make a lockprof document: without the
+// schema the rows are not merged into the blamed sites.
+TEST(BlameReportTest, RejectsSitesWithoutLockProfSchema) {
+  hmetrics::JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(hmetrics::JsonParser::Parse(
+      "{\"sites\":[{\"name\":\"svc.table\",\"acquisitions\":5000}]}", &doc, &error));
+  BlameReport report;
+  EXPECT_FALSE(report.AddLockProf(doc, &error));
+  EXPECT_NE(error.find("hurricane-lockprof/1"), std::string::npos) << error;
+  ASSERT_TRUE(report.AddFlight(ParseFile("flight.json"), &error)) << error;
+  ASSERT_TRUE(report.Analyze(&error)) << error;
+  ASSERT_FALSE(report.sites().empty());
+  EXPECT_FALSE(report.sites()[0].have_lockprof);
+}
+
 TEST(BlameReportTest, RenderJsonIsAValidReportDoc) {
   BlameReport report;
   std::string error;

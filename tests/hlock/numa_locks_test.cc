@@ -201,43 +201,6 @@ TEST(NumaLocks, DrwTryLock) {
   lock.unlock();
 }
 
-// Upgrade/downgrade under contention: workers take a shared hold, try to
-// upgrade, and fall back to the from-scratch write path on a lost race (the
-// documented contract).  Every worker's write lands exactly once.
-TEST(NumaLocks, DrwUpgradeDowngradeStress) {
-  DrwLock lock(/*procs_per_cluster=*/2);
-  std::int64_t counter = 0;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < 500; ++i) {
-        lock.lock_shared();
-        if (lock.try_upgrade()) {
-          counter = counter + 1;
-          lock.downgrade();
-          lock.unlock_shared();
-        } else {
-          lock.unlock_shared();
-          lock.lock();
-          counter = counter + 1;
-          lock.unlock();
-        }
-      }
-    });
-  }
-  for (auto& w : workers) {
-    w.join();
-  }
-  lock.lock();
-  EXPECT_EQ(counter, static_cast<std::int64_t>(kThreads) * 500);
-  lock.unlock();
-}
-
-TEST(NumaLocks, DrwReaderPreferenceStillExcludes) {
-  DrwLock lock(/*procs_per_cluster=*/2, algo::DrwPreference::kReaders);
-  MutualExclusionStress(lock, kThreads, kIters);
-}
-
 TEST(NumaLocks, DrwProfilingSitesSplitReadersAndWriters) {
   hprof::LockSiteStats reader_site("test/drw.reader", /*procs_per_cluster=*/2);
   hprof::LockSiteStats writer_site("test/drw.writer", /*procs_per_cluster=*/2);

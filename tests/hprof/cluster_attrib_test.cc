@@ -76,10 +76,9 @@ TEST(ClusterAttribution, ExplicitClusterOverridesIdDivision) {
 
   EXPECT_EQ(site.acquisitions(), 4u);
   EXPECT_EQ(site.contended(), 3u);
-  // 0 -> 5 is same-cluster by the lock's attribution; Classify() on the raw
-  // ids would have called it cross-cluster.
+  // 0 -> 5 is same-cluster by the lock's attribution, though id division
+  // by 4 would put the two owners in different clusters.
   EXPECT_EQ(site.handoffs(Handoff::kSameCluster), 1u);
-  EXPECT_EQ(LockSiteStats::Classify(0, 5, 4), Handoff::kCrossCluster);
   EXPECT_EQ(site.handoffs(Handoff::kCrossCluster), 1u);  // 5 -> 12
   EXPECT_EQ(site.handoffs(Handoff::kSameProcessor), 1u); // 12 -> 12
 

@@ -20,19 +20,6 @@ using hprof::Handoff;
 using hprof::LockSiteStats;
 using hprof::SiteTable;
 
-TEST(LockSiteStats, ClassifyHandoffs) {
-  // Same owner re-acquiring is always same-processor, whatever the geometry.
-  EXPECT_EQ(LockSiteStats::Classify(3, 3, 4), Handoff::kSameProcessor);
-  EXPECT_EQ(LockSiteStats::Classify(3, 3, 1), Handoff::kSameProcessor);
-  // procs_per_cluster=4: processors 0-3 are cluster 0, 4-7 cluster 1.
-  EXPECT_EQ(LockSiteStats::Classify(0, 3, 4), Handoff::kSameCluster);
-  EXPECT_EQ(LockSiteStats::Classify(3, 4, 4), Handoff::kCrossCluster);
-  EXPECT_EQ(LockSiteStats::Classify(7, 4, 4), Handoff::kSameCluster);
-  // Degenerate geometry (0 clamps to 1): distinct owners are always remote.
-  EXPECT_EQ(LockSiteStats::Classify(1, 2, 1), Handoff::kCrossCluster);
-  EXPECT_EQ(LockSiteStats::Classify(1, 2, 0), Handoff::kCrossCluster);
-}
-
 TEST(LockSiteStats, RecordsAcquisitionsAndHandoffMatrix) {
   LockSiteStats site("test/lock", /*procs_per_cluster=*/4);
   // First acquisition: no previous owner, so no handoff is counted.

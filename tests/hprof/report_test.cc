@@ -1,6 +1,6 @@
-// Tests for the hprof report builder: trace re-attribution on a canned
-// Chrome trace (with a committed golden text report -- the CLI contract),
-// lockprof-document ingestion, ranking, and error paths.
+// Tests for the hprof report builder: the canned lockprof export of a
+// `fig5_lock_contention --smoke --profile` run with its committed golden text
+// report (the CLI contract), SiteTable round-trips, ranking, and error paths.
 
 #include "src/hprof/report.h"
 
@@ -16,7 +16,6 @@ namespace {
 
 using hprof::ProfileReport;
 using hprof::SiteReport;
-using hprof::TraceBuildOptions;
 
 std::string ReadFileOrDie(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -42,101 +41,21 @@ ProfileReport BuildCannedReport() {
   hmetrics::JsonValue doc;
   std::string error;
   EXPECT_TRUE(hmetrics::JsonParser::Parse(
-      ReadFileOrDie(TestDataPath("canned_trace.json")), &doc, &error))
+      ReadFileOrDie(TestDataPath("fig5_lockprof.json")), &doc, &error))
       << error;
   ProfileReport report;
-  TraceBuildOptions opts;  // procs_per_cluster=4, contended threshold 5 us
-  EXPECT_TRUE(report.AddTrace(doc, opts, &error)) << error;
+  EXPECT_TRUE(report.AddLockProf(doc, &error)) << error;
   report.Rank();
   return report;
 }
 
-TEST(ReportFromTrace, ReconstructsSiteStatsFromSpans) {
-  ProfileReport report = BuildCannedReport();
-  ASSERT_EQ(report.sites().size(), 2u);
-
-  // Ranked by total wait: kernel/pgtbl (27.5 us) over cluster0/fs (0.5 us).
-  const SiteReport& pgtbl = report.sites()[0];
-  EXPECT_EQ(pgtbl.name, "kernel/pgtbl");
-  // 4 grants; the truncated span (run ended mid-wait) is not an acquisition.
-  EXPECT_EQ(pgtbl.acquisitions, 4u);
-  EXPECT_EQ(pgtbl.contended, 3u);  // waits 8, 13, 6 us exceed the 5 us bar
-  EXPECT_NEAR(pgtbl.wait.sum_us, 27.5, 1e-9);
-  EXPECT_NEAR(pgtbl.wait.max_us, 13.0, 1e-9);
-  // Grant order is tids 0, 2, 5, 0 with 4 procs per cluster:
-  // 0->2 same-cluster, 2->5 cross, 5->0 cross.
-  EXPECT_EQ(pgtbl.handoff_same_processor, 0u);
-  EXPECT_EQ(pgtbl.handoff_same_cluster, 1u);
-  EXPECT_EQ(pgtbl.handoff_cross_cluster, 2u);
-  // Spans [1,9] and [2,15] overlap; nothing else does.
-  EXPECT_EQ(pgtbl.max_queue_depth, 2u);
-  // Critical sections pair each grant with the next release of that tid:
-  // holds 2.5, 3.0, 4.0, 2.0 us.
-  EXPECT_EQ(pgtbl.hold.count, 4u);
-  EXPECT_NEAR(pgtbl.hold.sum_us, 11.5, 1e-9);
-  EXPECT_NEAR(pgtbl.hold.max_us, 4.0, 1e-9);
-  // Cluster shares: cluster 0 = tids 0 and 2 (3 acquisitions), cluster 1 =
-  // tid 5.
-  ASSERT_EQ(pgtbl.by_cluster.size(), 2u);
-  EXPECT_EQ(pgtbl.by_cluster.at(0).acquisitions, 3u);
-  EXPECT_EQ(pgtbl.by_cluster.at(1).acquisitions, 1u);
-
-  const SiteReport& fs = report.sites()[1];
-  EXPECT_EQ(fs.name, "cluster0/fs");
-  EXPECT_EQ(fs.acquisitions, 2u);
-  EXPECT_EQ(fs.contended, 0u);
-  EXPECT_EQ(fs.handoff_same_processor, 1u);
-  EXPECT_EQ(fs.max_queue_depth, 1u);
-  EXPECT_NEAR(fs.hold.sum_us, 2.0, 1e-9);
-}
-
-// Regression for the queue-depth sweep: zero-length acquire spans (wait 0)
-// used to emit their departure ahead of their own arrival at the same
-// timestamp, driving the running depth negative; truncated spans (run ended
-// mid-wait) were dropped from the depth count entirely even though the
-// waiter held a queue slot until the end of the trace.
-TEST(ReportFromTrace, TruncatedAndZeroLengthSpansCountTowardQueueDepth) {
-  const char* trace = R"({
-    "traceEvents": [
-      {"name": "lock/acquire", "ph": "X", "tid": 0, "ts": 10.0, "dur": 0,
-       "args": {"lock": "l"}},
-      {"name": "lock/release", "ph": "i", "tid": 0, "ts": 11.0,
-       "args": {"lock": "l"}},
-      {"name": "lock/acquire", "ph": "X", "tid": 1, "ts": 10.0, "dur": 0,
-       "args": {"lock": "l"}},
-      {"name": "lock/release", "ph": "i", "tid": 1, "ts": 12.0,
-       "args": {"lock": "l"}},
-      {"name": "lock/acquire", "ph": "X", "tid": 2, "ts": 10.5, "dur": 0,
-       "args": {"lock": "l", "truncated": true}},
-      {"name": "lock/acquire", "ph": "X", "tid": 3, "ts": 10.5, "dur": 0,
-       "args": {"lock": "l", "truncated": true}}
-    ]})";
-  hmetrics::JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(hmetrics::JsonParser::Parse(trace, &doc, &error)) << error;
-  ProfileReport report;
-  TraceBuildOptions opts;
-  ASSERT_TRUE(report.AddTrace(doc, opts, &error)) << error;
-  report.Rank();
-  ASSERT_EQ(report.sites().size(), 1u);
-  const SiteReport& r = report.sites()[0];
-  // Only the granted spans are acquisitions...
-  EXPECT_EQ(r.acquisitions, 2u);
-  // ...and the depth peaks at 2 twice over: the two instant grants coexist
-  // at t=10 (the old sweep sorted their departures first and ran the depth
-  // to -2, reporting 0 -- or wrapping near 2^32), and the two truncated
-  // waiters coexist from t=10.5 on (the old sweep ignored them entirely).
-  EXPECT_EQ(r.max_queue_depth, 2u);
-}
-
 // The golden file pins the exact text the hprof CLI prints for the canned
-// trace.  Regenerate (after inspecting the diff!) by redirecting
-//   build/tools/hprof tests/hprof/testdata/canned_trace.json
-// into tests/hprof/testdata/canned_trace_report.txt.
+// export.  Regenerate (after inspecting the diff!) by redirecting
+//   build/tools/hprof tests/hprof/testdata/fig5_lockprof.json
+// into tests/hprof/testdata/fig5_report.txt.
 TEST(ReportFromTrace, MatchesGoldenTextReport) {
   ProfileReport report = BuildCannedReport();
-  const std::string golden =
-      ReadFileOrDie(TestDataPath("canned_trace_report.txt"));
+  const std::string golden = ReadFileOrDie(TestDataPath("fig5_report.txt"));
   ASSERT_FALSE(golden.empty());
   EXPECT_EQ(report.RenderText(), golden);
 }
@@ -148,9 +67,11 @@ TEST(ReportFromTrace, JsonRenderingParsesAndRanks) {
   ASSERT_TRUE(hmetrics::JsonParser::Parse(report.RenderJson(), &doc, &error))
       << error;
   EXPECT_EQ(doc["schema"].string_value, "hurricane-hprof-report/1");
-  ASSERT_EQ(doc["sites"].array.size(), 2u);
-  EXPECT_EQ(doc["sites"].at(0)["name"].string_value, "kernel/pgtbl");
-  EXPECT_EQ(doc["sites"].at(0)["handoffs"]["cross_cluster"].number, 2.0);
+  ASSERT_EQ(doc["sites"].array.size(), 5u);
+  EXPECT_EQ(doc["sites"].at(0)["name"].string_value, "kernel/shared");
+  EXPECT_EQ(doc["sites"].at(0)["handoffs"]["cross_cluster"].number, 115.0);
+  // Wait ticks convert to microseconds through the export's ticks_per_us.
+  EXPECT_NEAR(doc["sites"].at(0)["total_wait_us"].number, 289757.0 / 16.0, 1e-6);
 }
 
 TEST(ReportFromLockProf, RoundTripsThroughTheExportSchema) {
@@ -188,10 +109,21 @@ TEST(ReportErrors, RejectsWrongSchemaAndMalformedDocs) {
   EXPECT_FALSE(report.AddLockProf(doc, &error));
   EXPECT_NE(error.find("lockprof"), std::string::npos) << error;
 
-  hmetrics::JsonValue not_trace;
-  ASSERT_TRUE(hmetrics::JsonParser::Parse(R"({"foo": 1})", &not_trace, &error));
-  TraceBuildOptions opts;
-  EXPECT_FALSE(report.AddTrace(not_trace, opts, &error));
+  // A Chrome trace is not a lock-statistics source.
+  hmetrics::JsonValue trace;
+  ASSERT_TRUE(hmetrics::JsonParser::Parse(R"({"traceEvents": []})", &trace, &error));
+  EXPECT_FALSE(report.AddLockProf(trace, &error));
+
+  // A cluster key that is not a number fails the whole document: no row of
+  // it, not even the well-formed first site, reaches the report.
+  hmetrics::JsonValue bad_key;
+  ASSERT_TRUE(hmetrics::JsonParser::Parse(
+      R"({"schema": "hurricane-lockprof/1", "sites": [
+            {"name": "ok", "by_cluster": {"0": {"acquisitions": 1}}},
+            {"name": "bad", "by_cluster": {"x1": {"acquisitions": 1}}}]})",
+      &bad_key, &error));
+  EXPECT_FALSE(report.AddLockProf(bad_key, &error));
+  EXPECT_NE(error.find("x1"), std::string::npos) << error;
   EXPECT_EQ(report.sites().size(), 0u);
 }
 

@@ -1,23 +1,18 @@
 // hprof: offline lock-contention analysis.
 //
-//   hprof [--json] [--top=N] [--procs-per-cluster=N] [--contended-us=X] FILE...
+//   hprof [--json] [--top=N] FILE...
 //
-// Each FILE is either a hurricane-lockprof/1 document (the SiteTable export
-// written by `bench --profile=PATH` or LockSiteStats in any host program) or a
-// Chrome trace_event JSON (the TraceSession export from `bench --trace=PATH`).
-// The format is auto-detected per file and all inputs merge into one report:
-// hot locks ranked by total wait time, NUMA handoff attribution, per-cluster
-// contention shares, and critical-section profiles.
+// Each FILE is a hurricane-lockprof/1 document: the SiteTable export written
+// by `bench --profile=PATH`, or by LockSiteStats in any host program.  All
+// inputs merge into one report: hot locks ranked by total wait time, NUMA
+// handoff attribution, per-cluster contention shares, and critical-section
+// profiles.  Chrome traces (`bench --trace=PATH`) are for Perfetto, not for
+// this tool; they are rejected like any other non-lockprof document.
 //
 // Flags:
-//   --json                emit the hurricane-hprof-report/1 JSON document
-//                         instead of the text report.
-//   --top=N               show only the N hottest locks (text report).
-//   --procs-per-cluster=N cluster geometry for handoff classification of
-//                         trace-derived sites (default 4; lockprof documents
-//                         carry their own geometry).
-//   --contended-us=X      acquire spans longer than X us count as contended
-//                         when rebuilding stats from a trace (default 5.0).
+//   --json   emit the hurricane-hprof-report/1 JSON document instead of the
+//            text report.
+//   --top=N  show only the N hottest locks (text report).
 //
 // Exit status: 0 on success, 1 on unreadable/unparseable input, 2 on usage
 // errors.
@@ -50,10 +45,8 @@ bool ReadFile(const char* path, std::string* out) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: hprof [--json] [--top=N] [--procs-per-cluster=N] "
-               "[--contended-us=X] FILE...\n"
-               "  FILE: hurricane-lockprof/1 export or Chrome trace_event "
-               "JSON (auto-detected)\n");
+               "usage: hprof [--json] [--top=N] FILE...\n"
+               "  FILE: hurricane-lockprof/1 export\n");
   return 2;
 }
 
@@ -62,7 +55,6 @@ int Usage() {
 int main(int argc, char** argv) {
   bool json = false;
   std::size_t top = 0;
-  hprof::TraceBuildOptions trace_opts;
   std::vector<const char*> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -71,15 +63,6 @@ int main(int argc, char** argv) {
       json = true;
     } else if (std::strncmp(arg, "--top=", 6) == 0) {
       top = static_cast<std::size_t>(std::strtoul(arg + 6, nullptr, 10));
-    } else if (std::strncmp(arg, "--procs-per-cluster=", 20) == 0) {
-      const unsigned long v = std::strtoul(arg + 20, nullptr, 10);
-      if (v == 0) {
-        std::fprintf(stderr, "hprof: --procs-per-cluster must be >= 1\n");
-        return Usage();
-      }
-      trace_opts.procs_per_cluster = static_cast<std::uint32_t>(v);
-    } else if (std::strncmp(arg, "--contended-us=", 15) == 0) {
-      trace_opts.contended_threshold_us = std::strtod(arg + 15, nullptr);
     } else if (arg[0] == '-' && arg[1] != '\0') {
       std::fprintf(stderr, "hprof: unknown flag %s\n", arg);
       return Usage();
@@ -100,19 +83,7 @@ int main(int argc, char** argv) {
     }
     hmetrics::JsonValue doc;
     std::string error;
-    if (!hmetrics::JsonParser::Parse(text, &doc, &error)) {
-      std::fprintf(stderr, "hprof: %s: %s\n", path, error.c_str());
-      return 1;
-    }
-    bool ok = false;
-    if (doc.is_object() && doc.Has("sites")) {
-      ok = report.AddLockProf(doc, &error);
-    } else if (doc.is_object() && doc.Has("traceEvents")) {
-      ok = report.AddTrace(doc, trace_opts, &error);
-    } else {
-      error = "neither a lockprof export nor a trace_event document";
-    }
-    if (!ok) {
+    if (!hmetrics::JsonParser::Parse(text, &doc, &error) || !report.AddLockProf(doc, &error)) {
       std::fprintf(stderr, "hprof: %s: %s\n", path, error.c_str());
       return 1;
     }
